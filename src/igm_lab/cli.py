@@ -54,6 +54,7 @@ VIOLATION_KEYS = (
     "iter_bound_a",
     "iter_bound_b",
     "mu_delta_envelope",
+    "iterate_envelope",
     "ls_error_bound",
     "logistic_error_bound",
 )

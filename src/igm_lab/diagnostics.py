@@ -212,6 +212,14 @@ def fit_sublinear_exponent(gaps, tail_fraction: float = 0.5, skip: int = TRANSIE
     )
 
 
+def _or_none(estimate, *args):
+    """``estimate(*args)``, or None where it finds too little data (ValueError)."""
+    try:
+        return estimate(*args)
+    except ValueError:
+        return None
+
+
 # ---------------------------------------------------------------------------
 # gap recursion and envelopes
 
@@ -425,14 +433,8 @@ def aggregate_expectation(trajs, cert: OptimalSetCertificate, tail_fraction: flo
     mean_dist = None
     if all(t.dists is not None for t in trajs):
         mean_dist = np.stack([t.dists for t in trajs]).mean(axis=0)
-    try:
-        linear = fit_linear_rate(mean_gap, tail_fraction)
-    except ValueError:
-        linear = None
-    try:
-        sublinear = fit_sublinear_exponent(mean_gap, tail_fraction)
-    except ValueError:
-        sublinear = None
+    linear = _or_none(fit_linear_rate, mean_gap, tail_fraction)
+    sublinear = _or_none(fit_sublinear_exponent, mean_gap, tail_fraction)
     return AggregateReport(
         mean_gap=mean_gap,
         gap_se=gap_se,
@@ -501,22 +503,10 @@ def diagnose(
         else:
             census["logistic_error_bound"] = check_logistic_error_bound(traj, problem, tolerance_scale)
 
-    tau_hat = None
-    if traj.dists is not None:
-        try:
-            tau_hat = estimate_tau(traj)
-        except ValueError:
-            tau_hat = None
-
+    tau_hat = None if traj.dists is None else _or_none(estimate_tau, traj)
     gaps = traj.gaps(cert.f_min)
-    try:
-        linear = fit_linear_rate(gaps, tail_fraction)
-    except ValueError:
-        linear = None
-    try:
-        sublinear = fit_sublinear_exponent(gaps, tail_fraction)
-    except ValueError:
-        sublinear = None
+    linear = _or_none(fit_linear_rate, gaps, tail_fraction)
+    sublinear = _or_none(fit_sublinear_exponent, gaps, tail_fraction)
 
     return RateReport(
         census=census,

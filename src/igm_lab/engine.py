@@ -1,7 +1,9 @@
 """Gradient descent with an injected per-iteration gradient error.
 
 The update is x_{k+1} = x_k - (gradient + error) / L with the fixed step
-1 / L, L the composed smoothness constant. Error models:
+1 / L, L the composed smoothness constant. Each iterate is evaluated once:
+f, the gradient and the batch error all come from one residual pass
+(``ComposedProblem.evaluate``). Error models:
 
 * ``ZeroError``             exact gradients
 * ``SyntheticError``        prescribed norm schedule, random or fixed direction
@@ -195,18 +197,24 @@ class IncrementalBatchError:
 ErrorModel = ZeroError | SyntheticError | IncrementalBatchError
 
 
-def _batch_error(problem: ComposedProblem, x, indices: np.ndarray) -> np.ndarray:
-    """Difference between the batch-mean gradient and the full gradient.
+def _check_fits(model: ErrorModel, problem: ComposedProblem) -> None:
+    """Reject a model whose shape does not match the problem's."""
+    direction = getattr(model, "direction", None)
+    if direction is not None and direction.shape != (problem.n_features,):
+        raise ValueError(f"direction length {direction.size} does not match {problem.n_features} features")
+    schedule = getattr(model, "schedule", None)
+    if schedule is not None and schedule.total != problem.n_samples:
+        raise ValueError(f"batch schedule total {schedule.total} does not match {problem.n_samples} samples")
 
-    Evaluates both the rearranged form (weighted batch sum minus the
-    left-out sum) and the direct form (batch mean minus full mean) and
-    requires them to agree to _BATCH_FORM_ATOL per coordinate.
-    """
-    m = problem.n_samples
+
+def _batch_error(features: np.ndarray, slopes: np.ndarray, g: np.ndarray, indices: np.ndarray) -> np.ndarray:
+    """Batch-mean gradient minus the full gradient ``g``, the per-sample
+    gradients being ``slopes[:, None] * features``. The rearranged form
+    (weighted batch sum minus the left-out sum) must agree with the direct
+    form (batch mean minus ``g``) to _BATCH_FORM_ATOL per coordinate."""
+    m = features.shape[0]
     s = indices.shape[0]
-    if s == 0:
-        raise ValueError("empty batch")
-    grads = problem.sample_gradients(x)
+    grads = slopes[:, None] * features
     batch_sum = grads[indices].sum(axis=0)
     # the left-out sum is taken over the complement directly: a full batch
     # then yields an exactly zero error instead of summation-order noise
@@ -214,7 +222,7 @@ def _batch_error(problem: ComposedProblem, x, indices: np.ndarray) -> np.ndarray
     chosen[indices] = True
     rest_sum = grads[~chosen].sum(axis=0)
     rearranged = ((m - s) / (m * s)) * batch_sum - rest_sum / m
-    direct = batch_sum / s - problem.gradient(x)
+    direct = batch_sum / s - g
     if not np.allclose(rearranged, direct, rtol=0.0, atol=_BATCH_FORM_ATOL):
         raise ArithmeticError("batch-error forms disagree beyond tolerance")
     return rearranged
@@ -223,7 +231,8 @@ def _batch_error(problem: ComposedProblem, x, indices: np.ndarray) -> np.ndarray
 def _draw_error(
     model: ErrorModel,
     problem: ComposedProblem,
-    x,
+    slopes: np.ndarray,
+    g: np.ndarray,
     k: int,
     rng: np.random.Generator,
 ) -> tuple[np.ndarray, int | None]:
@@ -244,19 +253,15 @@ def _draw_error(
         indices = np.arange(size)
     else:
         indices = rng.permutation(problem.n_samples)[:size]
-    return _batch_error(problem, x, indices), size
+    return _batch_error(problem.features, slopes, g, indices), size
 
 
 def make_error(model: ErrorModel, problem: ComposedProblem, x, k: int,
                rng: np.random.Generator) -> np.ndarray:
     """Draw the error vector e_k for the step from x_{k-1} (see module doc)."""
-    return _draw_error(model, problem, x, k, rng)[0]
-
-
-def igm_step(problem: ComposedProblem, x, error) -> np.ndarray:
-    """One inexact gradient step with the fixed step size 1 / L."""
-    x = np.asarray(x, dtype=float)
-    return x - (problem.gradient(x) + np.asarray(error, dtype=float)) / problem.constants.composed
+    _check_fits(model, problem)
+    _, slopes, g = problem.evaluate(x)
+    return _draw_error(model, problem, slopes, g, k, rng)[0]
 
 
 def expected_sq_error(problem: ComposedProblem, x, batch_size: int) -> float:
@@ -338,6 +343,7 @@ def run(
     x = np.array(x0, dtype=float)
     if x.shape != (problem.n_features,):
         raise ValueError(f"x0 must have shape ({problem.n_features},)")
+    _check_fits(model, problem)
     rng = np.random.default_rng(seed)
     L = problem.constants.composed
     K = iterations
@@ -352,8 +358,7 @@ def run(
     batch_sizes = np.empty(K, dtype=np.int64) if batched else None
 
     for k in range(K + 1):
-        f = problem.objective(x)
-        g = problem.gradient(x)
+        f, slopes, g = problem.evaluate(x)
         if not (np.isfinite(f) and np.all(np.isfinite(g))):
             raise DivergedError(k)
         xs[k] = x
@@ -361,7 +366,7 @@ def run(
         grad_norms[k] = np.linalg.norm(g)
         if k == K:
             break
-        e, size = _draw_error(model, problem, x, k + 1, rng)
+        e, size = _draw_error(model, problem, slopes, g, k + 1, rng)
         errors[k] = e
         err_norms[k] = np.linalg.norm(e)
         if batched:

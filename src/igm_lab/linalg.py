@@ -96,7 +96,7 @@ def rank_factorization(a) -> tuple[int, np.ndarray]:
     singular values above ``RANK_CUTOFF * ||a||_2 * max(m, n)``.
     """
     a = _as_matrix(a)
-    _, s, vt = np.linalg.svd(a)
+    _, s, vt = np.linalg.svd(a, full_matrices=False)
     cutoff = RANK_CUTOFF * (s[0] if s.size else 0.0) * max(a.shape)
     rank = int(np.count_nonzero(s > cutoff))
     return rank, vt[:rank].T.copy()

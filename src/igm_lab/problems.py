@@ -102,39 +102,42 @@ class ComposedProblem:
             raise ValueError(f"point must have shape ({self.n_features},), got {x.shape}")
         return x
 
-    def _loss_slopes(self, scores: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    def _loss_slopes(self, scores: np.ndarray) -> np.ndarray:
         """Per-sample derivative of the loss with respect to its score."""
         if self.loss == SQUARE:
-            return 2.0 * (scores - labels)
-        u = labels * scores
-        return -labels * _sigmoid(-u)
+            return 2.0 * (scores - self.labels)
+        u = self.labels * scores
+        return -self.labels * _sigmoid(-u)
 
-    def objective(self, x) -> float:
-        x = self._point(x)
-        scores = self.features @ x
+    def _mean_loss(self, scores: np.ndarray) -> float:
         if self.loss == SQUARE:
             return float(np.mean((scores - self.labels) ** 2))
         return float(np.mean(np.logaddexp(0.0, -self.labels * scores)))
 
+    def evaluate(self, x) -> tuple[float, np.ndarray, np.ndarray]:
+        """``(f(x), slopes, gradient(x))`` from one pass ``features @ x``;
+        ``slopes[:, None] * features`` are the per-sample gradients."""
+        scores = self.features @ self._point(x)
+        slopes = self._loss_slopes(scores)
+        return self._mean_loss(scores), slopes, self.features.T @ slopes / self.n_samples
+
+    def objective(self, x) -> float:
+        return self._mean_loss(self.features @ self._point(x))
+
     def gradient(self, x) -> np.ndarray:
         """Gradient of the mean loss at ``x``."""
-        x = self._point(x)
-        slopes = self._loss_slopes(self.features @ x, self.labels)
+        slopes = self._loss_slopes(self.features @ self._point(x))
         return self.features.T @ slopes / self.n_samples
 
     def sample_gradient(self, i: int, x) -> np.ndarray:
         """Gradient contributed by sample ``i`` alone (0-based index)."""
         if not 0 <= i < self.n_samples:
             raise IndexError(f"sample index {i} out of range [0, {self.n_samples})")
-        x = self._point(x)
-        score = self.features[i] @ x
-        slope = self._loss_slopes(score, self.labels[i])
-        return slope * self.features[i]
+        return self.sample_gradients(x)[i]
 
     def sample_gradients(self, x) -> np.ndarray:
         """All per-sample gradients, one per row; their mean is ``gradient(x)``."""
-        x = self._point(x)
-        slopes = self._loss_slopes(self.features @ x, self.labels)
+        slopes = self._loss_slopes(self.features @ self._point(x))
         return slopes[:, None] * self.features
 
     @cached_property

@@ -15,7 +15,7 @@ from igm_lab import (
     generate_least_squares,
     save_problem,
 )
-from igm_lab.cli import TRAJECTORY_COLUMNS, main
+from igm_lab.cli import TRAJECTORY_COLUMNS, VIOLATION_KEYS, main
 
 
 @pytest.fixture()
@@ -91,13 +91,33 @@ class TestRunCommand:
             "iter_bound_a",
             "iter_bound_b",
             "mu_delta_envelope",
+            "iterate_envelope",
             "ls_error_bound",
             "logistic_error_bound",
         }
         assert verdict["violations"]["descent"] == 0
+        assert verdict["violations"]["iterate_envelope"] == 0
         # no batches were drawn, so the batch-bound entries are null
         assert verdict["violations"]["ls_error_bound"] is None
         assert verdict["mu"] == 0.5
+
+    def test_failed_seed_shows_its_violation(self, tmp_path):
+        # seed 3 of the README problem fails only the iterate envelope; its
+        # verdict must say so rather than list zero violations
+        raw = {
+            "problem": {"kind": "least_squares", "samples": 50, "features": 20, "rank": 5, "noise": 0.1, "seed": 11},
+            "error_model": {"kind": "synthetic", "norms": {"kind": "geometric", "scale": 1.0, "ratio": 0.9}},
+            "iterations": 500,
+            "seeds": [2, 3],
+        }
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(raw))
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(config), "--out", str(out)]) == 2
+        passed = json.loads((out / "verdict_seed2.json").read_text())["violations"]
+        failed = json.loads((out / "verdict_seed3.json").read_text())["violations"]
+        assert passed["iterate_envelope"] == 0
+        assert failed["iterate_envelope"] == 1
 
     def test_negative_tolerance_forces_verification_failure(self, tiny_setup):
         raw, config, tmp_path = tiny_setup
@@ -279,3 +299,11 @@ class TestGenerateAndCertify:
             generate_least_squares(LeastSquaresSpec(9, 3, 2, 0.2, seed=4)), via_lib
         )
         assert via_cli.read_bytes() == via_lib.read_bytes()
+
+
+def test_every_census_family_has_a_verdict_key(battery):
+    # the battery covers square and logistic problems, batched and unbatched
+    # errors, and attached distances, so every family diagnose emits shows up
+    families = set().union(*(set(entry.report.census) for entry in battery))
+    assert {"iterate_envelope", "ls_error_bound", "logistic_error_bound"} <= families
+    assert families <= set(VIOLATION_KEYS)

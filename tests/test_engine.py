@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from igm_lab import (
+    LOGISTIC,
     SQUARE,
     ComposedProblem,
     DivergedError,
@@ -18,7 +19,6 @@ from igm_lab import (
     SyntheticError,
     ZeroError,
     expected_sq_error,
-    igm_step,
     make_error,
     run,
 )
@@ -187,19 +187,126 @@ class TestMakeError:
 class TestStep:
     def test_one_step_reaches_tiny_optimum(self):
         problem = tiny_problem()
-        x1 = igm_step(problem, np.zeros(2), np.zeros(2))
-        assert np.allclose(x1, [1.0, 0.0], atol=1e-15)
-        assert problem.objective(x1) <= 1e-30
+        traj = run(problem, ZeroError(), np.zeros(2), 1)
+        assert np.allclose(traj.xs[1], [1.0, 0.0], atol=1e-15)
+        assert traj.fs[1] <= 1e-30
 
     def test_error_can_cancel_the_gradient(self):
+        # gradient at the origin is (-5, 0); a fixed error of norm 5 along
+        # +x at k=1 cancels it, so the step goes nowhere
         problem = tiny_problem()
-        x1 = igm_step(problem, np.zeros(2), np.array([5.0, 0.0]))
-        assert np.allclose(x1, np.zeros(2), atol=1e-15)
+        model = SyntheticError(GeometricNorms(50.0, 0.5), direction=np.array([1.0, 0.0]))
+        traj = run(problem, model, np.zeros(2), 1)
+        assert traj.err_norms[0] == 5.0
+        assert np.allclose(traj.xs[1], np.zeros(2), atol=1e-15)
 
     def test_optimum_is_a_fixed_point(self):
         problem = tiny_problem()
         x = np.array([1.0, -3.5])
-        assert np.allclose(igm_step(problem, x, np.zeros(2)), x, atol=1e-15)
+        traj = run(problem, ZeroError(), x, 1)
+        assert np.allclose(traj.xs[1], x, atol=1e-15)
+
+
+class TestModelMustFitProblem:
+    """A model whose shape does not match the problem fails before any step."""
+
+    @pytest.mark.parametrize("length", [1, 5])
+    def test_run_rejects_direction_of_wrong_length(self, length):
+        # length 1 would otherwise broadcast silently over every coordinate
+        problem = random_square_problem(3, samples=6, features=3)
+        model = SyntheticError(GeometricNorms(1.0, 0.5), direction=np.ones(length))
+        with pytest.raises(ValueError, match=f"direction length {length} does not match 3 features"):
+            run(problem, model, np.zeros(3), 5)
+
+    @pytest.mark.parametrize("total", [4, 8])
+    def test_run_rejects_schedule_total_other_than_samples(self, total):
+        # below M it would silently run on a prefix, above M fail mid-run
+        problem = random_square_problem(3, samples=6, features=3)
+        model = IncrementalBatchError(GeometricResidualSchedule(0.5, 0.5, total), selection="uniform")
+        with pytest.raises(ValueError, match=f"schedule total {total} does not match 6 samples"):
+            run(problem, model, np.zeros(3), 5)
+
+    def test_make_error_rejects_mismatched_direction(self):
+        problem = tiny_problem()
+        model = SyntheticError(GeometricNorms(1.0, 0.5), direction=np.array([1.0]))
+        with pytest.raises(ValueError, match="direction length"):
+            make_error(model, problem, np.zeros(2), 1, np.random.default_rng(0))
+
+    def test_make_error_rejects_mismatched_schedule(self):
+        problem = tiny_problem()
+        model = IncrementalBatchError(ExplicitSchedule((1,), 3))
+        with pytest.raises(ValueError, match="schedule total 3"):
+            make_error(model, problem, np.zeros(2), 1, np.random.default_rng(0))
+
+
+def reference_run(problem, model, x0, iterations, seed):
+    """The step loop spelled out with separate objective, gradient and
+    per-sample-gradient calls; the engine must reproduce it bit for bit."""
+    rng = np.random.default_rng(seed)
+    L = problem.constants.composed
+    m, n = problem.n_samples, problem.n_features
+    x = np.array(x0, dtype=float)
+    xs, fs, errors, sizes = [], [], [], []
+    for k in range(iterations + 1):
+        xs.append(x)
+        fs.append(problem.objective(x))
+        g = problem.gradient(x)
+        if k == iterations:
+            break
+        if isinstance(model, ZeroError):
+            e = np.zeros(n)
+        elif isinstance(model, SyntheticError):
+            if model.direction is None:
+                d = rng.standard_normal(n)
+                d /= np.linalg.norm(d)
+            else:
+                d = model.direction
+            e = model.norms.norm_at(k + 1) * d
+        else:
+            s = model.schedule.size_at(k)
+            indices = np.arange(s) if model.selection == "prefix" else rng.permutation(m)[:s]
+            grads = problem.sample_gradients(x)
+            chosen = np.zeros(m, dtype=bool)
+            chosen[indices] = True
+            e = ((m - s) / (m * s)) * grads[indices].sum(axis=0) - grads[~chosen].sum(axis=0) / m
+            sizes.append(s)
+        errors.append(e)
+        x = x - (g + e) / L
+    return np.array(xs), np.array(fs), np.array(errors), np.array(sizes, dtype=np.int64)
+
+
+def _reference_problem(loss):
+    rng = np.random.default_rng(17)
+    features = rng.standard_normal((30, 4))
+    if loss == SQUARE:
+        return ComposedProblem(features, rng.standard_normal(30), SQUARE)
+    return ComposedProblem(features, np.where(rng.standard_normal(30) >= 0, 1.0, -1.0), LOGISTIC)
+
+
+REFERENCE_MODELS = {
+    "zero": ZeroError(),
+    "synthetic-random": SyntheticError(GeometricNorms(0.5, 0.9)),
+    "synthetic-fixed": SyntheticError(PolynomialNorms(0.5, 1.0), direction=np.array([1.0, -2.0, 0.5, 3.0])),
+    "prefix-batch": IncrementalBatchError(GeometricResidualSchedule(0.6, 0.8, 30), selection="prefix"),
+    "uniform-batch": IncrementalBatchError(PolynomialResidualSchedule(0.6, 1.0, 30), selection="uniform"),
+}
+
+
+@pytest.mark.parametrize("loss", [SQUARE, LOGISTIC])
+@pytest.mark.parametrize("name", sorted(REFERENCE_MODELS))
+def test_run_matches_reference_loop_bitwise(loss, name):
+    problem = _reference_problem(loss)
+    model = REFERENCE_MODELS[name]
+    x0 = np.linspace(-1.0, 1.0, 4)
+    traj = run(problem, model, x0, 40, seed=3)
+    xs, fs, errors, sizes = reference_run(problem, model, x0, 40, seed=3)
+    assert np.array_equal(traj.xs, xs)
+    assert np.array_equal(traj.fs, fs)
+    assert np.array_equal(traj.errors, errors)
+    if isinstance(model, IncrementalBatchError):
+        assert np.array_equal(traj.batch_sizes, sizes)
+    else:
+        assert traj.batch_sizes is None
 
 
 class TestRun:

@@ -1,5 +1,7 @@
 """Unit tests for the dense linear-algebra kernels."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -122,3 +124,16 @@ def test_rank_of_gram_matrix_matches(seed, m, n, inner):
     gram_rank, _ = rank_factorization(a.T @ a)
     assert gram_rank == rank
     assert rank <= min(m, n, inner)
+
+
+def test_rank_factorization_memory_stays_linear_in_rows():
+    # a full-matrices SVD would build a 3000 x 3000 left factor (72 MB)
+    a = np.random.default_rng(5).standard_normal((3000, 3))
+    tracemalloc.start()
+    try:
+        rank, basis = rank_factorization(a)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rank == 3 and basis.shape == (3, 3)
+    assert peak < 8 * 2**20
