@@ -309,7 +309,9 @@ def iterate_rate_check(traj, cert: OptimalSetCertificate, mu: float) -> IterateE
     distance ratios against it over the gap-qualifying window. The
     boundedness heuristic (max <= RATIO_SPREAD_LIMIT * median) skips the
     transient, where fast problem modes die off long before the envelope
-    moves; a non-convergent tail still blows the spread up.
+    moves; a non-convergent tail still blows the spread up. The census's
+    ``worst_index`` is the step of the largest ratio in whichever sequence
+    spreads more.
     """
     if traj.dists is None:
         raise ValueError("trajectory has no attached distances")
@@ -328,12 +330,13 @@ def iterate_rate_check(traj, cert: OptimalSetCertificate, mu: float) -> IterateE
     settled = TRANSIENT_SKIP if m > 2 * TRANSIENT_SKIP else 0
     spread1, ok1 = _ratio_spread(step_ratios[settled:])
     spread2, ok2 = _ratio_spread(dist_ratios[settled:])
+    widest = step_ratios if spread1 >= spread2 else dist_ratios
     census = CensusEntry(
         name="iterate_envelope",
         checked=2 * m,
         violations=int(not ok1) + int(not ok2),
         worst_slack=float(RATIO_SPREAD_LIMIT - max(spread1, spread2)),
-        worst_index=None,
+        worst_index=settled + int(np.argmax(widest[settled:])),
     )
     return IterateEnvelopeFit(
         lambda1=float(np.max(step_ratios)),

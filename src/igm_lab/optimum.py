@@ -15,6 +15,7 @@ projection onto the row space to get the minimum-norm representative.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -101,7 +102,7 @@ def certify(
         step = 1.0 / L
         for iteration in range(max_iterations):
             g = problem.gradient(x)
-            if np.linalg.norm(g) <= grad_tolerance:
+            if math.sqrt(g.dot(g)) <= grad_tolerance:
                 break
             x = x - step * g
         else:
@@ -148,11 +149,10 @@ def error_bound_ratio(cert: OptimalSetCertificate, problem: ComposedProblem, x) 
 def attach_distances(cert: OptimalSetCertificate, problem: ComposedProblem, traj):
     """Fill ``traj.dists`` with the distance of every iterate to the optimal set.
 
-    Uses one pseudoinverse for the whole trajectory; pointwise it matches
+    Uses one pseudoinverse per problem (``problem.pseudoinverse``, computed
+    on first use and shared by every trajectory); pointwise it matches
     ``distance_to_optimum`` to rounding.
     """
-    E = problem.features
-    pinv = np.linalg.pinv(E, rcond=RANK_CUTOFF * max(E.shape))
-    offsets = traj.xs @ E.T - cert.optimal_image
-    traj.dists = np.linalg.norm(offsets @ pinv.T, axis=1)
+    offsets = traj.xs @ problem.features.T - cert.optimal_image
+    traj.dists = np.linalg.norm(offsets @ problem.pseudoinverse.T, axis=1)
     return traj

@@ -8,7 +8,7 @@ scores ``features @ x``:
 * logistic loss:  log(1 + exp(-label * score)), labels in {-1, +1}
 
 Instances are immutable; derived quantities (smoothness constants, sample
-radius, digest) are computed once and cached.
+radius, pseudoinverse, digest) are computed once and cached.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .linalg import spectral_norm
+from .linalg import RANK_CUTOFF, spectral_norm
 
 SQUARE = "square"
 LOGISTIC = "logistic"
@@ -40,14 +40,13 @@ class LipschitzConstants:
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
-    # branch on sign so neither exp can overflow
+    # one exp, of min(z, -z) = -|z|, so it cannot overflow; the numerator
+    # max(e, z >= 0) is 1 where z >= 0 and e where z < 0, which gives the
+    # masked forms 1 / (1 + exp(-z)) and exp(z) / (1 + exp(z)) bit for bit.
+    # A NaN passes through min and max with its sign, as it does there.
     z = np.asarray(z, dtype=float)
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    e = np.exp(np.minimum(z, -z))
+    return np.maximum(e, z >= 0, dtype=float) / (1.0 + e)
 
 
 @dataclass(frozen=True, eq=False)
@@ -102,31 +101,41 @@ class ComposedProblem:
             raise ValueError(f"point must have shape ({self.n_features},), got {x.shape}")
         return x
 
-    def _loss_slopes(self, scores: np.ndarray) -> np.ndarray:
+    def _margins(self, scores: np.ndarray) -> np.ndarray:
+        """What both loss formulas are functions of, per sample: the
+        residual ``scores - labels`` (square) or ``-labels * scores``
+        (logistic)."""
+        if self.loss == SQUARE:
+            return scores - self.labels
+        return -self.labels * scores
+
+    def _loss_slopes(self, margins: np.ndarray) -> np.ndarray:
         """Per-sample derivative of the loss with respect to its score."""
         if self.loss == SQUARE:
-            return 2.0 * (scores - self.labels)
-        u = self.labels * scores
-        return -self.labels * _sigmoid(-u)
+            return 2.0 * margins
+        return -self.labels * _sigmoid(margins)
 
-    def _mean_loss(self, scores: np.ndarray) -> float:
+    def _mean_loss(self, margins: np.ndarray) -> float:
+        # sum / M is how np.mean divides, without its wrapper's cost
         if self.loss == SQUARE:
-            return float(np.mean((scores - self.labels) ** 2))
-        return float(np.mean(np.logaddexp(0.0, -self.labels * scores)))
+            losses = margins**2
+        else:
+            losses = np.logaddexp(0.0, margins)
+        return float(losses.sum()) / self.n_samples
 
     def evaluate(self, x) -> tuple[float, np.ndarray, np.ndarray]:
         """``(f(x), slopes, gradient(x))`` from one pass ``features @ x``;
         ``slopes[:, None] * features`` are the per-sample gradients."""
-        scores = self.features @ self._point(x)
-        slopes = self._loss_slopes(scores)
-        return self._mean_loss(scores), slopes, self.features.T @ slopes / self.n_samples
+        margins = self._margins(self.features @ self._point(x))
+        slopes = self._loss_slopes(margins)
+        return self._mean_loss(margins), slopes, self.features.T @ slopes / self.n_samples
 
     def objective(self, x) -> float:
-        return self._mean_loss(self.features @ self._point(x))
+        return self._mean_loss(self._margins(self.features @ self._point(x)))
 
     def gradient(self, x) -> np.ndarray:
         """Gradient of the mean loss at ``x``."""
-        slopes = self._loss_slopes(self.features @ self._point(x))
+        slopes = self._loss_slopes(self._margins(self.features @ self._point(x)))
         return self.features.T @ slopes / self.n_samples
 
     def sample_gradient(self, i: int, x) -> np.ndarray:
@@ -137,7 +146,7 @@ class ComposedProblem:
 
     def sample_gradients(self, x) -> np.ndarray:
         """All per-sample gradients, one per row; their mean is ``gradient(x)``."""
-        slopes = self._loss_slopes(self.features @ self._point(x))
+        slopes = self._loss_slopes(self._margins(self.features @ self._point(x)))
         return slopes[:, None] * self.features
 
     @cached_property
@@ -158,6 +167,15 @@ class ComposedProblem:
         """Largest of all row norms and absolute labels."""
         row_norms = np.linalg.norm(self.features, axis=1)
         return float(max(np.max(row_norms), np.max(np.abs(self.labels))))
+
+    @cached_property
+    def pseudoinverse(self) -> np.ndarray:
+        """Read-only pseudoinverse of ``features``; singular values below
+        ``RANK_CUTOFF * max(M, n)`` times the largest count as zero."""
+        E = self.features
+        pinv = np.linalg.pinv(E, rcond=RANK_CUTOFF * max(E.shape))
+        pinv.flags.writeable = False
+        return pinv
 
     @cached_property
     def digest(self) -> str:

@@ -286,6 +286,20 @@ class TestIterateEnvelope:
         assert fit.census.violations == 2
         assert fit.census.worst_slack < 0
 
+    @pytest.mark.parametrize("step_spike, dist_spike, expected", [(1e5, 1e4, 57), (1e4, 1e5, 120)])
+    def test_worst_index_is_the_spike_in_the_wider_sequence(self, step_spike, dist_spike, expected):
+        # with no error the envelope is ((1 + mu) / 2)**(k/2), so norms on
+        # that curve give ratios of 1 everywhere except at the two spikes
+        ks = np.arange(201, dtype=float)
+        curve = np.sqrt(0.75) ** ks
+        step_norms, dists = curve[:-1].copy(), curve.copy()
+        step_norms[57] *= step_spike
+        dists[120] *= dist_spike
+        fake = crafted_trajectory(1.0 / (ks + 1.0), step_norms=step_norms, dists=dists)
+        census = iterate_rate_check(fake, MANUAL_CERT, 0.5).census
+        assert census.violations == 2
+        assert census.worst_index == expected
+
     def test_requires_attached_distances(self, ls_tiny):
         problem, cert = ls_tiny
         traj = run(problem, ZeroError(), np.zeros(2), 5, seed=0)

@@ -4,6 +4,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from igm_lab import (
     LOGISTIC,
@@ -22,6 +24,8 @@ from igm_lab import (
     make_error,
     run,
 )
+from igm_lab.engine import _BATCH_FORM_ATOL, _batch_error, _forms_agree
+from igm_lab.problems import _sigmoid
 
 TINY_FEATURES = np.array([[1.0, 0.0], [2.0, 0.0]])
 TINY_LABELS = np.array([1.0, 2.0])
@@ -239,18 +243,46 @@ class TestModelMustFitProblem:
             make_error(model, problem, np.zeros(2), 1, np.random.default_rng(0))
 
 
+def masked_sigmoid(z):
+    """The two-branch masked logistic sigmoid, each exp taken only where it
+    cannot overflow; the kernel's one-exp form must match it bit for bit."""
+    z = np.asarray(z, dtype=float)
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+def reference_parts(problem, x):
+    """f, per-sample slopes and gradient from the textbook formulas."""
+    features, labels = problem.features, problem.labels
+    scores = features @ x
+    if problem.loss == SQUARE:
+        f = float(np.mean((scores - labels) ** 2))
+        slopes = 2.0 * (scores - labels)
+    else:
+        u = labels * scores
+        f = float(np.mean(np.logaddexp(0.0, -u)))
+        slopes = -labels * masked_sigmoid(-u)
+    return f, slopes, features.T @ slopes / problem.n_samples
+
+
 def reference_run(problem, model, x0, iterations, seed):
-    """The step loop spelled out with separate objective, gradient and
-    per-sample-gradient calls; the engine must reproduce it bit for bit."""
+    """The step loop spelled out with the textbook loss formulas, fancy and
+    boolean indexing and ``np.linalg.norm``; the engine must reproduce it
+    bit for bit."""
     rng = np.random.default_rng(seed)
     L = problem.constants.composed
     m, n = problem.n_samples, problem.n_features
     x = np.array(x0, dtype=float)
-    xs, fs, errors, sizes = [], [], [], []
+    out = {name: [] for name in ("xs", "fs", "grad_norms", "errors", "err_norms", "step_norms", "batch_sizes")}
     for k in range(iterations + 1):
-        xs.append(x)
-        fs.append(problem.objective(x))
-        g = problem.gradient(x)
+        f, slopes, g = reference_parts(problem, x)
+        out["xs"].append(x)
+        out["fs"].append(f)
+        out["grad_norms"].append(np.linalg.norm(g))
         if k == iterations:
             break
         if isinstance(model, ZeroError):
@@ -265,14 +297,19 @@ def reference_run(problem, model, x0, iterations, seed):
         else:
             s = model.schedule.size_at(k)
             indices = np.arange(s) if model.selection == "prefix" else rng.permutation(m)[:s]
-            grads = problem.sample_gradients(x)
+            grads = slopes[:, None] * problem.features
             chosen = np.zeros(m, dtype=bool)
             chosen[indices] = True
             e = ((m - s) / (m * s)) * grads[indices].sum(axis=0) - grads[~chosen].sum(axis=0) / m
-            sizes.append(s)
-        errors.append(e)
-        x = x - (g + e) / L
-    return np.array(xs), np.array(fs), np.array(errors), np.array(sizes, dtype=np.int64)
+            out["batch_sizes"].append(s)
+        step = (g + e) / L
+        out["errors"].append(e)
+        out["err_norms"].append(np.linalg.norm(e))
+        out["step_norms"].append(np.linalg.norm(step))
+        x = x - step
+    arrays = {name: np.array(values) for name, values in out.items()}
+    arrays["batch_sizes"] = arrays["batch_sizes"].astype(np.int64)
+    return arrays
 
 
 def _reference_problem(loss):
@@ -292,21 +329,73 @@ REFERENCE_MODELS = {
 }
 
 
+def assert_matches_reference(problem, model, x0, iterations, seed):
+    traj = run(problem, model, x0, iterations, seed=seed)
+    ref = reference_run(problem, model, x0, iterations, seed)
+    for name in ("xs", "fs", "grad_norms", "errors", "err_norms", "step_norms"):
+        assert np.array_equal(getattr(traj, name), ref[name]), name
+    if isinstance(model, IncrementalBatchError):
+        assert np.array_equal(traj.batch_sizes, ref["batch_sizes"])
+    else:
+        assert traj.batch_sizes is None
+
+
 @pytest.mark.parametrize("loss", [SQUARE, LOGISTIC])
 @pytest.mark.parametrize("name", sorted(REFERENCE_MODELS))
 def test_run_matches_reference_loop_bitwise(loss, name):
-    problem = _reference_problem(loss)
-    model = REFERENCE_MODELS[name]
-    x0 = np.linspace(-1.0, 1.0, 4)
-    traj = run(problem, model, x0, 40, seed=3)
-    xs, fs, errors, sizes = reference_run(problem, model, x0, 40, seed=3)
-    assert np.array_equal(traj.xs, xs)
-    assert np.array_equal(traj.fs, fs)
-    assert np.array_equal(traj.errors, errors)
-    if isinstance(model, IncrementalBatchError):
-        assert np.array_equal(traj.batch_sizes, sizes)
-    else:
-        assert traj.batch_sizes is None
+    assert_matches_reference(_reference_problem(loss), REFERENCE_MODELS[name], np.linspace(-1.0, 1.0, 4), 40, 3)
+
+
+def test_run_matches_reference_loop_bitwise_on_a_tall_problem():
+    # thousands of rows per gather, so numpy buffers the batch and left-out
+    # reductions; the kernel's row copies must still sum in the same order
+    rng = np.random.default_rng(23)
+    problem = ComposedProblem(rng.standard_normal((5000, 5)), rng.standard_normal(5000), SQUARE)
+    model = IncrementalBatchError(GeometricResidualSchedule(0.9, 0.8, 5000), selection="uniform")
+    assert_matches_reference(problem, model, np.zeros(5), 8, 4)
+
+
+SIGMOID_EDGES = [0.0, -0.0, 1e-300, -1e-300, 36.0, -36.0, 745.0, -745.0, 800.0, -800.0,
+                 np.inf, -np.inf, np.nan]
+
+
+def test_sigmoid_matches_the_masked_form_bitwise():
+    rng = np.random.default_rng(5)
+    spread = rng.standard_normal(20_000) * 10.0 ** rng.uniform(-3, 3, 20_000)
+    for z in (np.array(SIGMOID_EDGES), spread):
+        assert _sigmoid(z).tobytes() == masked_sigmoid(z).tobytes()
+
+
+NEAR_TOLERANCE = [0.0, 1e-12, -1e-12, np.nextafter(1e-12, 1.0), 2e-12, 1e-300, 1.0]
+EDGE_FLOATS = [0.0, -0.0, 1.0, -1.0, 1e-12, 1e308, -1e308, np.inf, -np.inf, np.nan]
+
+
+@given(st.lists(
+    st.tuples(
+        st.one_of(st.sampled_from(EDGE_FLOATS), st.floats(allow_nan=True, allow_infinity=True)),
+        st.sampled_from(NEAR_TOLERANCE),
+        st.booleans(),
+    ),
+    min_size=1,
+    max_size=6,
+))
+@settings(max_examples=200, deadline=None)
+def test_batch_forms_agree_like_allclose(entries):
+    # each b[i] is a[i] shifted by about the tolerance, or an unrelated entry
+    a = np.array([value for value, _, _ in entries])
+    shifted = a + np.array([shift for _, shift, _ in entries])
+    b = np.where([near for _, _, near in entries], shifted, a[::-1])
+    with np.errstate(invalid="ignore", over="ignore"):
+        assert _forms_agree(a, b) == np.allclose(a, b, rtol=0.0, atol=_BATCH_FORM_ATOL)
+
+
+def test_batch_error_raises_when_the_forms_disagree():
+    problem = random_square_problem(7, samples=12, features=3)
+    _, slopes, g = problem.evaluate(np.ones(3))
+    indices = np.arange(5)
+    _batch_error(problem.features, slopes, g, indices)
+    with pytest.raises(ArithmeticError, match="disagree"):
+        _batch_error(problem.features, slopes, g + 1e-9, indices)
 
 
 class TestRun:

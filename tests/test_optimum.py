@@ -8,8 +8,10 @@ from igm_lab import (
     SQUARE,
     CertificationError,
     ComposedProblem,
+    GeometricNorms,
     GradientTooSmallError,
     OptimalSetCertificate,
+    SyntheticError,
     ZeroError,
     attach_distances,
     certify,
@@ -17,6 +19,7 @@ from igm_lab import (
     error_bound_ratio,
     run,
 )
+from igm_lab.linalg import RANK_CUTOFF
 
 
 class TestSquareTinyCertificate:
@@ -132,3 +135,27 @@ def test_attach_distances_fills_every_iterate(ls_tiny):
     for k in range(traj.fs.size):
         direct = distance_to_optimum(cert, problem.features, traj.xs[k])
         assert traj.dists[k] == pytest.approx(direct, abs=1e-12)
+
+
+def test_attach_distances_computes_one_pseudoinverse_per_problem(monkeypatch):
+    rng = np.random.default_rng(12)
+    problem = ComposedProblem(rng.standard_normal((40, 6)), rng.standard_normal(40), SQUARE)
+    cert = certify(problem)
+    calls = []
+    pinv = np.linalg.pinv
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].shape)
+        return pinv(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "pinv", counted)
+    model = SyntheticError(GeometricNorms(0.5, 0.8))
+    trajectories = [run(problem, model, np.zeros(6), 25, seed=seed) for seed in (0, 1)]
+    for traj in trajectories:
+        attach_distances(cert, problem, traj)
+    assert calls == [(40, 6)]
+    E = problem.features
+    inline = pinv(E, rcond=RANK_CUTOFF * max(E.shape))
+    for traj in trajectories:
+        expected = np.linalg.norm((traj.xs @ E.T - cert.optimal_image) @ inline.T, axis=1)
+        assert np.array_equal(traj.dists, expected)
