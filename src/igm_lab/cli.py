@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import argparse
 import copy
-import csv
+import itertools
 import json
 import os
 import sys
@@ -73,29 +73,35 @@ class _Parser(argparse.ArgumentParser):
 # artifact writers
 
 
-def _cell(value: float) -> str:
-    # repr of a python float round-trips exactly, keeping reruns byte-identical
-    return repr(float(value))
-
-
 def write_trajectory_csv(path: Path, traj: Trajectory, f_min: float) -> None:
-    gaps = traj.gaps(f_min)
-    last = traj.iterations
+    """One row per iterate; the step columns of the last row, and the
+    distance and batch-size columns of a run without them, are empty.
+
+    Each column streams from its array one value at a time, so no column
+    is ever held as a list of strings or python floats. No field ever
+    holds a comma, a quote or a line break."""
+    # numpy's float64 subclasses python float, and a python float's repr
+    # round-trips exactly, keeping reruns byte-identical
+    cell = float.__repr__
+
+    def column(values, text):
+        if values is None:
+            return itertools.repeat("")
+        return itertools.chain(map(text, values), itertools.repeat(""))
+
+    columns = [
+        map(str, range(traj.iterations + 1)),
+        column(traj.fs, cell),
+        column(traj.gaps(f_min), cell),
+        column(traj.grad_norms, cell),
+        column(traj.err_norms, cell),
+        column(traj.step_norms, cell),
+        column(traj.dists, cell),
+        column(traj.batch_sizes, str),
+    ]
     with path.open("w", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(TRAJECTORY_COLUMNS)
-        for k in range(last + 1):
-            row = [str(k), _cell(traj.fs[k]), _cell(gaps[k]), _cell(traj.grad_norms[k])]
-            if k < last:
-                row += [_cell(traj.err_norms[k]), _cell(traj.step_norms[k])]
-            else:
-                row += ["", ""]
-            row.append(_cell(traj.dists[k]) if traj.dists is not None else "")
-            if k < last and traj.batch_sizes is not None:
-                row.append(str(int(traj.batch_sizes[k])))
-            else:
-                row.append("")
-            writer.writerow(row)
+        handle.write(",".join(TRAJECTORY_COLUMNS) + "\n")
+        handle.writelines(",".join(row) + "\n" for row in zip(*columns))
 
 
 def verdict_payload(config_digest: str, seed: int, report: RateReport) -> dict[str, Any]:

@@ -126,21 +126,31 @@ def save_problem(problem: ComposedProblem, path: str | Path) -> None:
 
 
 def load_problem(path: str | Path, loss: str) -> ComposedProblem:
-    """Read a dataset written by save_problem and attach a loss."""
+    """Read a dataset written by save_problem and attach a loss.
+
+    Every nonblank line must hold as many fields as the header. The lines
+    stream from the file into ``np.loadtxt``, which parses each number to
+    the nearest double, as ``float`` does."""
     path = Path(path)
-    with path.open(newline="") as handle:
-        reader = csv.reader(handle)
-        header = next(reader, None)
-        if header is None or len(header) < 2 or header[-1] != "label":
+    with path.open() as handle:
+        header = handle.readline().rstrip("\n").split(",")
+        if len(header) < 2 or header[-1] != "label":
             raise ValueError(f"{path}: expected a header ending in 'label'")
-        rows: list[list[float]] = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise ValueError(f"{path}:{lineno}: expected {len(header)} fields, got {len(row)}")
-            rows.append([float(v) for v in row])
+        data = np.loadtxt(_data_lines(path, handle, len(header)), delimiter=",", comments=None, ndmin=2)
+    return ComposedProblem(data[:, :-1], data[:, -1], loss)
+
+
+def _data_lines(path: Path, lines, width: int):
+    """The nonblank lines after the header, each checked to hold ``width``
+    fields; raises if there are none."""
+    rows = 0
+    for lineno, line in enumerate(lines, start=2):
+        if line == "\n":
+            continue
+        fields = line.count(",") + 1
+        if fields != width:
+            raise ValueError(f"{path}:{lineno}: expected {width} fields, got {fields}")
+        rows += 1
+        yield line
     if not rows:
         raise ValueError(f"{path}: no data rows")
-    data = np.asarray(rows, dtype=float)
-    return ComposedProblem(data[:, :-1], data[:, -1], loss)

@@ -18,6 +18,7 @@ ratio checks.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -269,13 +270,14 @@ def envelope_check(
     """Check the unrolled gap envelope
     gap_k <= mu**k * gap_0 + delta * sum_j mu**(k-j) * ||e_j||^2."""
     gaps = traj.gaps(cert.f_min)
-    e2 = traj.err_norms**2
-    envelope = np.empty_like(gaps)
-    envelope[0] = gaps[0]
-    for k in range(e2.shape[0]):
-        envelope[k + 1] = mu * envelope[k] + delta * e2[k]
+    # python floats round each operation as numpy float64 scalars do
+    level = float(gaps[0])
+    envelope = [level]
+    for sq in (traj.err_norms**2).tolist():
+        level = mu * level + delta * sq
+        envelope.append(level)
     tol = tolerance_scale * ENVELOPE_TOL * (1.0 + gaps[0])
-    return _census("mu_delta_envelope", envelope + tol - gaps)
+    return _census("mu_delta_envelope", np.array(envelope) + tol - gaps)
 
 
 @dataclass(frozen=True)
@@ -318,13 +320,16 @@ def iterate_rate_check(traj, cert: OptimalSetCertificate, mu: float) -> IterateE
     m = min(qualifying_length(traj.gaps(cert.f_min)), traj.iterations)
     if m < 1:
         raise ValueError("no qualifying iterations")
-    envelope = np.empty(m)
+    # python floats round each operation as numpy float64 scalars do,
+    # and float ** int calls the same C pow
+    levels = []
     weighted = 0.0
-    root = np.sqrt(mu)
-    shrink = np.sqrt((1.0 + mu) / 2.0)
-    for k in range(m):
-        weighted = root * weighted + traj.err_norms[k]
-        envelope[k] = weighted + shrink**k
+    root = math.sqrt(mu)
+    shrink = math.sqrt((1.0 + mu) / 2.0)
+    for k, err in enumerate(traj.err_norms[:m].tolist()):
+        weighted = root * weighted + err
+        levels.append(weighted + shrink**k)
+    envelope = np.array(levels)
     step_ratios = traj.step_norms[:m] / envelope
     dist_ratios = traj.dists[:m] / envelope
     settled = TRANSIENT_SKIP if m > 2 * TRANSIENT_SKIP else 0

@@ -14,9 +14,12 @@ Errors are indexed from 1: the step from x_{k-1} to x_k uses error k, so a
 geometric schedule gives ||e_k||^2 = scale * ratio**k literally. Batch
 schedules are indexed by the 0-based step, matching their residual targets.
 
-Randomness comes from one generator per run, consumed in a fixed order: per
-iteration, at most one draw happens (a direction for synthetic models, a
-subset for uniform batch selection), in iteration order.
+Randomness comes from one generator per run, consumed in a fixed order.
+Zero and synthetic errors do not depend on the iterate, so ``run`` draws
+their whole stream before the first step: one ``standard_normal`` call
+filling all K random directions gives the same numbers, in the same order,
+as one call per step. Uniform batch selection draws one subset per step,
+in iteration order.
 
 Runs are reproducible bit for bit, and the step kernel keeps the bits fixed:
 every sum adds the same values in the same order, and every norm is
@@ -248,6 +251,26 @@ def _batch_error(features: np.ndarray, slopes: np.ndarray, g: np.ndarray, indice
     return rearranged
 
 
+def _fill_errors(model: ZeroError | SyntheticError, errors: np.ndarray, first: int,
+                 rng: np.random.Generator) -> None:
+    """Write the errors e_first, e_first+1, ... of a model that does not
+    depend on the iterate into the rows of ``errors``. Each row is a unit
+    direction scaled by its scheduled norm; random directions come from one
+    ``standard_normal`` call over all rows, which draws what one call per
+    row would."""
+    if isinstance(model, ZeroError):
+        errors.fill(0.0)
+        return
+    if model.direction is None:
+        rng.standard_normal(out=errors)
+        for d in errors:
+            d /= math.sqrt(d.dot(d))
+    else:
+        errors[:] = model.direction
+    for k, d in enumerate(errors, start=first):
+        d *= model.norms.norm_at(k)
+
+
 def _draw_error(
     model: ErrorModel,
     problem: ComposedProblem,
@@ -259,15 +282,10 @@ def _draw_error(
     """Error vector e_k (1-based index k) and the batch size if batched."""
     if k < 1:
         raise ValueError("error index k starts at 1")
-    if isinstance(model, ZeroError):
-        return np.zeros(problem.n_features), None
-    if isinstance(model, SyntheticError):
-        if model.direction is None:
-            d = rng.standard_normal(problem.n_features)
-            d /= math.sqrt(d.dot(d))
-        else:
-            d = model.direction
-        return model.norms.norm_at(k) * d, None
+    if not isinstance(model, IncrementalBatchError):
+        errors = np.empty((1, problem.n_features))
+        _fill_errors(model, errors, k, rng)
+        return errors[0], None
     size = model.schedule.size_at(k - 1)
     if model.selection == "prefix":
         indices = np.arange(size)
@@ -376,22 +394,27 @@ def run(
     step_norms = np.empty(K)
     batched = isinstance(model, IncrementalBatchError)
     batch_sizes = np.empty(K, dtype=np.int64) if batched else None
+    if not batched:
+        _fill_errors(model, errors, 1, rng)
 
     for k in range(K + 1):
         f, slopes, g = problem.evaluate(x)
-        if not (math.isfinite(f) and np.isfinite(g).all()):
+        gg = g.dot(g)
+        # a finite sum of squares has only finite terms, so the entrywise
+        # test runs only where the sum is not finite (NaN, or an overflow)
+        if not (math.isfinite(f) and (math.isfinite(gg) or np.isfinite(g).all())):
             raise DivergedError(k)
         xs[k] = x
         fs[k] = f
-        grad_norms[k] = math.sqrt(g.dot(g))
+        grad_norms[k] = math.sqrt(gg)
         if k == K:
             break
-        e, size = _draw_error(model, problem, slopes, g, k + 1, rng)
-        errors[k] = e
-        err_norms[k] = math.sqrt(e.dot(e))
         if batched:
-            batch_sizes[k] = size
-        step = (g + e) / L
+            errors[k], batch_sizes[k] = _draw_error(model, problem, slopes, g, k + 1, rng)
+        e = errors[k]
+        err_norms[k] = math.sqrt(e.dot(e))
+        step = g + e
+        step /= L
         step_norms[k] = math.sqrt(step.dot(step))
         x = x - step
 

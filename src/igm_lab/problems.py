@@ -116,12 +116,13 @@ class ComposedProblem:
         return -self.labels * _sigmoid(margins)
 
     def _mean_loss(self, margins: np.ndarray) -> float:
-        # sum / M is how np.mean divides, without its wrapper's cost
+        # sum / M is how np.mean divides; np.add.reduce is the reduction
+        # ndarray.sum calls, without its wrapper's cost
         if self.loss == SQUARE:
             losses = margins**2
         else:
             losses = np.logaddexp(0.0, margins)
-        return float(losses.sum()) / self.n_samples
+        return float(np.add.reduce(losses)) / self.n_samples
 
     def evaluate(self, x) -> tuple[float, np.ndarray, np.ndarray]:
         """``(f(x), slopes, gradient(x))`` from one pass ``features @ x``;

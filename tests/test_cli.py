@@ -12,10 +12,11 @@ from igm_lab import (
     CertificationError,
     ComposedProblem,
     LeastSquaresSpec,
+    Trajectory,
     generate_least_squares,
     save_problem,
 )
-from igm_lab.cli import TRAJECTORY_COLUMNS, VIOLATION_KEYS, main
+from igm_lab.cli import TRAJECTORY_COLUMNS, VIOLATION_KEYS, main, write_trajectory_csv
 
 
 @pytest.fixture()
@@ -307,3 +308,65 @@ def test_every_census_family_has_a_verdict_key(battery):
     families = set().union(*(set(entry.report.census) for entry in battery))
     assert {"iterate_envelope", "ls_error_bound", "logistic_error_bound"} <= families
     assert families <= set(VIOLATION_KEYS)
+
+
+def csv_module_trajectory(path, traj, f_min):
+    """The trajectory writer as a ``csv.writer`` loop over per-cell
+    ``repr(float(value))``; the streaming writer must give the same bytes."""
+    gaps = traj.gaps(f_min)
+    last = traj.iterations
+    with path.open("w", newline="") as handle:
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerow(TRAJECTORY_COLUMNS)
+        for k in range(last + 1):
+            row = [str(k), repr(float(traj.fs[k])), repr(float(gaps[k])), repr(float(traj.grad_norms[k]))]
+            if k < last:
+                row += [repr(float(traj.err_norms[k])), repr(float(traj.step_norms[k]))]
+            else:
+                row += ["", ""]
+            row.append(repr(float(traj.dists[k])) if traj.dists is not None else "")
+            if k < last and traj.batch_sizes is not None:
+                row.append(str(int(traj.batch_sizes[k])))
+            else:
+                row.append("")
+            writer.writerow(row)
+
+
+ODD_FLOATS = [0.0, -0.0, 1e-300, -1e-300, 1e300, np.nan, np.inf, -np.inf, 5e-324, 0.1, 1 / 3]
+
+
+def odd_trajectory(steps, with_dists, batched):
+    """A trajectory whose every float column holds ODD_FLOATS among values
+    spread over 40 decades."""
+    rng = np.random.default_rng(steps)
+
+    def column(size):
+        values = rng.standard_normal(size) * 10.0 ** rng.uniform(-20, 20, size)
+        odd = np.roll(ODD_FLOATS, int(rng.integers(len(ODD_FLOATS))))[:size]
+        values[rng.permutation(size)[: odd.size]] = odd
+        return values
+
+    return Trajectory(
+        xs=np.zeros((steps + 1, 2)),
+        fs=column(steps + 1),
+        grad_norms=column(steps + 1),
+        errors=np.zeros((steps, 2)),
+        err_norms=column(steps),
+        step_norms=column(steps),
+        batch_sizes=rng.integers(1, 10**6, steps) if batched else None,
+        seed=0,
+        problem_digest="",
+        model_label="",
+        dists=column(steps + 1) if with_dists else None,
+    )
+
+
+@pytest.mark.parametrize("batched", [False, True], ids=["unbatched", "batched"])
+@pytest.mark.parametrize("with_dists", [False, True], ids=["no-dists", "dists"])
+@pytest.mark.parametrize("steps", [1, 40])
+def test_trajectory_csv_matches_the_csv_module_bytes(tmp_path, steps, with_dists, batched):
+    traj = odd_trajectory(steps, with_dists, batched)
+    for f_min in (0.0, -0.0, 0.25):
+        write_trajectory_csv(tmp_path / "streamed.csv", traj, f_min)
+        csv_module_trajectory(tmp_path / "reference.csv", traj, f_min)
+        assert (tmp_path / "streamed.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()

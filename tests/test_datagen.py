@@ -142,7 +142,24 @@ class TestCsvRoundTrip:
     def test_load_rejects_ragged_rows(self, tmp_path):
         path = tmp_path / "ragged.csv"
         path.write_text("f1,label\n1.0,2.0\n1.0\n")
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"ragged\.csv:3: expected 2 fields, got 1$"):
+            load_problem(path, SQUARE)
+        # blank lines are skipped but still counted in the line number
+        path.write_text("f1,label\n\n1.0,2.0\n\n1.0,2.0,3.0\n")
+        with pytest.raises(ValueError, match=r"ragged\.csv:5: expected 2 fields, got 3$"):
+            load_problem(path, SQUARE)
+
+    def test_load_skips_blank_lines(self, tmp_path):
+        path = tmp_path / "blank.csv"
+        path.write_text("f1,f2,label\n\n1.0,2.0,3.0\n\n\n-4.5,5e-300,6.0\n")
+        loaded = load_problem(path, SQUARE)
+        assert loaded.features.tolist() == [[1.0, 2.0], [-4.5, 5e-300]]
+        assert loaded.labels.tolist() == [3.0, 6.0]
+
+    def test_load_rejects_a_file_without_data_rows(self, tmp_path):
+        path = tmp_path / "empty.csv"
+        path.write_text("f1,label\n\n\n")
+        with pytest.raises(ValueError, match=r"empty\.csv: no data rows$"):
             load_problem(path, SQUARE)
 
     def test_load_rejects_non_numeric_cells(self, tmp_path):

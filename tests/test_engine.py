@@ -323,6 +323,8 @@ def _reference_problem(loss):
 REFERENCE_MODELS = {
     "zero": ZeroError(),
     "synthetic-random": SyntheticError(GeometricNorms(0.5, 0.9)),
+    # a long stream: run draws every direction up front, the reference one per step
+    "synthetic-random-500": SyntheticError(GeometricNorms(0.5, 0.99)),
     "synthetic-fixed": SyntheticError(PolynomialNorms(0.5, 1.0), direction=np.array([1.0, -2.0, 0.5, 3.0])),
     "prefix-batch": IncrementalBatchError(GeometricResidualSchedule(0.6, 0.8, 30), selection="prefix"),
     "uniform-batch": IncrementalBatchError(PolynomialResidualSchedule(0.6, 1.0, 30), selection="uniform"),
@@ -343,7 +345,8 @@ def assert_matches_reference(problem, model, x0, iterations, seed):
 @pytest.mark.parametrize("loss", [SQUARE, LOGISTIC])
 @pytest.mark.parametrize("name", sorted(REFERENCE_MODELS))
 def test_run_matches_reference_loop_bitwise(loss, name):
-    assert_matches_reference(_reference_problem(loss), REFERENCE_MODELS[name], np.linspace(-1.0, 1.0, 4), 40, 3)
+    iterations = 500 if name.endswith("-500") else 40
+    assert_matches_reference(_reference_problem(loss), REFERENCE_MODELS[name], np.linspace(-1.0, 1.0, 4), iterations, 3)
 
 
 def test_run_matches_reference_loop_bitwise_on_a_tall_problem():
@@ -396,6 +399,50 @@ def test_batch_error_raises_when_the_forms_disagree():
     _batch_error(problem.features, slopes, g, indices)
     with pytest.raises(ArithmeticError, match="disagree"):
         _batch_error(problem.features, slopes, g + 1e-9, indices)
+
+
+class GradientOverride(ComposedProblem):
+    """A problem whose ``evaluate`` returns ``gradient`` in place of the true
+    gradient on its call number ``at`` (0-based), which ``run`` makes at
+    iterate ``at``."""
+
+    def __init__(self, problem, at, gradient):
+        super().__init__(problem.features, problem.labels, problem.loss)
+        object.__setattr__(self, "at", at)
+        object.__setattr__(self, "gradient_value", np.asarray(gradient, dtype=float))
+        object.__setattr__(self, "calls", 0)
+
+    def evaluate(self, x):
+        f, slopes, g = super().evaluate(x)
+        call = self.calls
+        object.__setattr__(self, "calls", call + 1)
+        return f, slopes, (self.gradient_value if call == self.at else g)
+
+
+class TestFiniteness:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("model", [ZeroError(), SyntheticError(GeometricNorms(0.5, 0.9))],
+                             ids=["zero", "synthetic"])
+    def test_non_finite_gradient_diverges_at_its_iterate(self, bad, model):
+        problem = random_square_problem(51, samples=8, features=3)
+        poisoned = GradientOverride(problem, 3, [0.5, bad, -0.25])
+        with pytest.raises(DivergedError) as excinfo:
+            run(poisoned, model, np.zeros(3), 6, seed=0)
+        assert excinfo.value.iteration == 3
+
+    def test_overflowing_gradient_norm_is_recorded_as_inf(self):
+        # every entry is finite, so g is no reason to stop even though g . g
+        # overflows; the norm is recorded as inf
+        problem = random_square_problem(52, samples=8, features=3)
+        huge = [1e200, -1e200, 1e200]
+        with np.errstate(over="ignore"):
+            traj = run(GradientOverride(problem, 6, huge), ZeroError(), np.zeros(3), 6, seed=0)
+        assert traj.grad_norms[6] == np.inf
+        assert np.all(np.isfinite(traj.grad_norms[:6]))
+        # earlier in the run the step it takes sends f to inf at the next iterate
+        with np.errstate(over="ignore"), pytest.raises(DivergedError) as excinfo:
+            run(GradientOverride(problem, 2, huge), ZeroError(), np.zeros(3), 6, seed=0)
+        assert excinfo.value.iteration == 3
 
 
 class TestRun:
