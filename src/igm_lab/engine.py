@@ -18,17 +18,18 @@ Randomness comes from one generator per run, consumed in a fixed order.
 Zero and synthetic errors do not depend on the iterate, so ``run`` draws
 their whole stream before the first step: one ``standard_normal`` call
 filling all K random directions gives the same numbers, in the same order,
-as one call per step. Uniform batch selection draws one subset per step,
-in iteration order.
+as one call per step. Uniform batch selection draws one left-out set per
+step, in iteration order, with ``rng.choice(M, M - s, replace=False,
+shuffle=False)``; it replaced ``rng.permutation(M)[:s]`` on purpose, and
+changed the bits of batch-error runs only.
 
 Runs are reproducible bit for bit, and the step kernel keeps the bits fixed:
 every sum adds the same values in the same order, and every norm is
 ``sqrt(v . v)``, which is what ``np.linalg.norm`` computes for a real 1-D
 array. ``tests/test_engine.py`` checks this against a plain reference loop.
 Rewrites measured to change the bits, and so left out: ``np.einsum`` or
-``sum(where=...)`` in place of ``.sum(axis=0)`` over gathered rows, BLAS
-forms such as ``features[idx].T @ slopes[idx]``, ``rng.choice`` in place of
-``rng.permutation``, and iterating several seeds as one stacked array.
+``sum(where=...)`` in place of the BLAS product over the left-out rows, and
+iterating several seeds as one stacked array.
 """
 
 from __future__ import annotations
@@ -87,7 +88,10 @@ class PolynomialNorms:
             raise ValueError("power must be positive")
 
     def norm_at(self, k: int) -> float:
-        return math.sqrt(self.scale / k ** (1.0 + self.power))
+        try:
+            return math.sqrt(self.scale / k ** (1.0 + self.power))
+        except OverflowError:  # k**(1 + power) beyond the float range: its limit, 0
+            return 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -131,7 +135,10 @@ class PolynomialResidualSchedule:
             raise ValueError("total must be at least 1")
 
     def size_at(self, k: int) -> int:
-        target = self.initial / (k + 1) ** (1.0 + self.power)
+        try:
+            target = self.initial / (k + 1) ** (1.0 + self.power)
+        except OverflowError:  # (k+1)**(1 + power) beyond the float range: a full batch
+            return self.total
         return min(self.total, math.ceil(self.total * (1.0 - target)))
 
 
@@ -226,29 +233,22 @@ def _forms_agree(a: np.ndarray, b: np.ndarray) -> bool:
     return bool(((np.abs(a - b) <= _BATCH_FORM_ATOL) | (a == b)).all())
 
 
-def _batch_error(features: np.ndarray, slopes: np.ndarray, g: np.ndarray, indices: np.ndarray) -> np.ndarray:
-    """Batch-mean gradient minus the full gradient ``g``, the per-sample
-    gradients being ``slopes[:, None] * features``. The rearranged form
-    (weighted batch sum minus the left-out sum) must agree with the direct
-    form (batch mean minus ``g``) to _BATCH_FORM_ATOL per coordinate.
-
-    ``take`` and ``compress`` copy the same rows in the same order as fancy
-    and boolean indexing, only faster, and each ``.sum(axis=0)`` then adds
-    them in that order; the result is bitwise that of the indexing forms."""
-    m = features.shape[0]
-    s = indices.shape[0]
-    grads = slopes[:, None] * features
-    batch_sum = grads.take(indices, axis=0).sum(axis=0)
-    # the left-out sum is taken over the complement directly: a full batch
-    # then yields an exactly zero error instead of summation-order noise
-    chosen = np.zeros(m, dtype=bool)
-    chosen[indices] = True
-    rest_sum = grads.compress(~chosen, axis=0).sum(axis=0)
-    rearranged = ((m - s) / (m * s)) * batch_sum - rest_sum / m
-    direct = batch_sum / s - g
-    if not _forms_agree(rearranged, direct):
+def _batch_error(features: np.ndarray, slopes: np.ndarray, g: np.ndarray, left_out: np.ndarray) -> np.ndarray:
+    """Batch-mean gradient minus the full gradient ``g``, from the r rows
+    ``left_out`` that a batch of s = M - r rows leaves out, the per-sample
+    gradients being ``slopes[:, None] * features``:
+    e = (r g - slopes[R] @ features[R]) / s, exactly zero for a full batch.
+    The direct form (batch mean minus ``g``), one BLAS pass over all M rows
+    with the left-out slopes zeroed, must agree with it to _BATCH_FORM_ATOL
+    per coordinate; a repeated left-out index breaks that agreement."""
+    r = left_out.shape[0]
+    s = features.shape[0] - r
+    error = (r * g - slopes.take(left_out) @ features.take(left_out, axis=0)) / s
+    masked = slopes.copy()
+    masked[left_out] = 0.0
+    if not _forms_agree(error, (masked @ features) / s - g):
         raise ArithmeticError("batch-error forms disagree beyond tolerance")
-    return rearranged
+    return error
 
 
 def _fill_errors(model: ZeroError | SyntheticError, errors: np.ndarray, first: int,
@@ -287,11 +287,12 @@ def _draw_error(
         _fill_errors(model, errors, k, rng)
         return errors[0], None
     size = model.schedule.size_at(k - 1)
+    m = problem.n_samples
     if model.selection == "prefix":
-        indices = np.arange(size)
+        left_out = np.arange(size, m)
     else:
-        indices = rng.permutation(problem.n_samples)[:size]
-    return _batch_error(problem.features, slopes, g, indices), size
+        left_out = rng.choice(m, m - size, replace=False, shuffle=False)
+    return _batch_error(problem.features, slopes, g, left_out), size
 
 
 def make_error(model: ErrorModel, problem: ComposedProblem, x, k: int,

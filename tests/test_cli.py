@@ -183,6 +183,28 @@ class TestRunCommand:
         for name in ("trajectory_seed0.csv", "verdict_seed0.json", "certificate.json"):
             assert (first / name).read_bytes() == (second / name).read_bytes()
 
+    @pytest.mark.parametrize("error_model", [
+        {"kind": "synthetic", "norms": {"kind": "polynomial", "scale": 1.0, "power": 2000}},
+        {"kind": "batch", "schedule": {"kind": "polynomial", "initial": 0.5, "power": 2000}, "selection": "uniform"},
+    ], ids=["synthetic", "batch"])
+    def test_overflowing_polynomial_schedule_runs_to_the_end(self, tmp_path, error_model):
+        # k**(1 + power) overflows a float at the second step; the schedule
+        # takes its limit (zero norm, full batch) and the run completes
+        raw = {
+            "problem": {"kind": "least_squares", "samples": 10, "features": 3, "rank": 3, "noise": 0.1, "seed": 1},
+            "error_model": error_model,
+            "iterations": 30,
+            "seeds": [0, 1],
+        }
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(raw))
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(config), "--out", str(out)]) in (0, 2)
+        names = ["certificate.json", "aggregate.json"]
+        names += [f"{kind}_seed{seed}.{ext}" for seed in (0, 1) for kind, ext in (("trajectory", "csv"), ("verdict", "json"))]
+        assert sorted(p.name for p in out.iterdir()) == sorted(names)
+        assert len(read_rows(out / "trajectory_seed0.csv")) == 32
+
 
 class TestUsageErrors:
     def test_missing_config_file(self, tmp_path):

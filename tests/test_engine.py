@@ -1,6 +1,7 @@
 """Unit tests for the inexact-step engine: schedules, error models, run loop."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -53,6 +54,15 @@ class TestNormSchedules:
         assert norms.norm_at(1) == pytest.approx(1.0, abs=1e-16)
         assert norms.norm_at(2) == pytest.approx(0.5, abs=1e-16)
 
+    def test_polynomial_norm_overflow_gives_zero(self):
+        # k**(1 + power) overflows a float from k = 2 on; the norm takes
+        # its limit 0, and values that do not overflow keep their bits
+        norms = PolynomialNorms(3.0, 2000.0)
+        assert norms.norm_at(1) == math.sqrt(3.0)
+        assert norms.norm_at(2) == 0.0
+        assert norms.norm_at(10**6) == 0.0
+        assert PolynomialNorms(3.0, 1000.0).norm_at(2) == math.sqrt(3.0 / 2 ** 1001.0)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             GeometricNorms(-1.0, 0.5)
@@ -86,6 +96,15 @@ class TestBatchSchedules:
         for k in range(30):
             left_out = (40 - schedule.size_at(k)) / 40
             assert left_out <= 0.5 / (k + 1) ** 2 + 1e-12
+
+    def test_polynomial_residual_overflow_gives_a_full_batch(self):
+        # (k+1)**(1 + power) overflows a float from k = 1 on; the left-out
+        # fraction takes its limit 0, and sizes that do not overflow keep
+        # their value
+        schedule = PolynomialResidualSchedule(0.5, 2000.0, 40)
+        assert [schedule.size_at(k) for k in (0, 1, 2, 10**6)] == [20, 40, 40, 40]
+        near = PolynomialResidualSchedule(0.5, 1000.0, 40)
+        assert near.size_at(1) == min(40, math.ceil(40 * (1.0 - 0.5 / 2 ** 1001.0)))
 
     def test_sizes_are_nondecreasing(self):
         for schedule in (
@@ -269,13 +288,37 @@ def reference_parts(problem, x):
     return f, slopes, features.T @ slopes / problem.n_samples
 
 
-def reference_run(problem, model, x0, iterations, seed):
-    """The step loop spelled out with the textbook loss formulas, fancy and
-    boolean indexing and ``np.linalg.norm``; the engine must reproduce it
-    bit for bit."""
+def left_out_batch_error(problem, slopes, g, s, selection, rng):
+    """e = ((M - s) g - sum of the left-out per-sample gradients) / s, the
+    left-out rows being the tail (prefix selection) or a uniform draw of
+    M - s distinct rows."""
+    m = problem.n_samples
+    if selection == "prefix":
+        left_out = np.arange(s, m)
+    else:
+        left_out = rng.choice(m, m - s, replace=False, shuffle=False)
+    return ((m - s) * g - slopes[left_out] @ problem.features[left_out]) / s
+
+
+def summed_batch_error(problem, slopes, g, s, selection, rng):
+    """The batch error as the engine once computed it: a permutation of all
+    M rows picks the batch, and the weighted batch sum minus the left-out
+    sum are each added row by row with ``.sum(axis=0)``."""
+    m = problem.n_samples
+    indices = np.arange(s) if selection == "prefix" else rng.permutation(m)[:s]
+    grads = slopes[:, None] * problem.features
+    chosen = np.zeros(m, dtype=bool)
+    chosen[indices] = True
+    return ((m - s) / (m * s)) * grads[indices].sum(axis=0) - grads[~chosen].sum(axis=0) / m
+
+
+def reference_run(problem, model, x0, iterations, seed, batch_error=left_out_batch_error):
+    """The step loop spelled out with the textbook loss formulas, fancy
+    indexing and ``np.linalg.norm``; the engine must reproduce it bit for
+    bit."""
     rng = np.random.default_rng(seed)
     L = problem.constants.composed
-    m, n = problem.n_samples, problem.n_features
+    n = problem.n_features
     x = np.array(x0, dtype=float)
     out = {name: [] for name in ("xs", "fs", "grad_norms", "errors", "err_norms", "step_norms", "batch_sizes")}
     for k in range(iterations + 1):
@@ -296,11 +339,7 @@ def reference_run(problem, model, x0, iterations, seed):
             e = model.norms.norm_at(k + 1) * d
         else:
             s = model.schedule.size_at(k)
-            indices = np.arange(s) if model.selection == "prefix" else rng.permutation(m)[:s]
-            grads = slopes[:, None] * problem.features
-            chosen = np.zeros(m, dtype=bool)
-            chosen[indices] = True
-            e = ((m - s) / (m * s)) * grads[indices].sum(axis=0) - grads[~chosen].sum(axis=0) / m
+            e = batch_error(problem, slopes, g, s, model.selection, rng)
             out["batch_sizes"].append(s)
         step = (g + e) / L
         out["errors"].append(e)
@@ -349,13 +388,60 @@ def test_run_matches_reference_loop_bitwise(loss, name):
     assert_matches_reference(_reference_problem(loss), REFERENCE_MODELS[name], np.linspace(-1.0, 1.0, 4), iterations, 3)
 
 
-def test_run_matches_reference_loop_bitwise_on_a_tall_problem():
-    # thousands of rows per gather, so numpy buffers the batch and left-out
-    # reductions; the kernel's row copies must still sum in the same order
+def _tall_problem():
     rng = np.random.default_rng(23)
-    problem = ComposedProblem(rng.standard_normal((5000, 5)), rng.standard_normal(5000), SQUARE)
+    return ComposedProblem(rng.standard_normal((5000, 5)), rng.standard_normal(5000), SQUARE)
+
+
+def test_run_matches_reference_loop_bitwise_on_a_tall_problem():
+    # thousands of left-out rows per gather; the kernel's row copies must
+    # reach the BLAS product in the same order as fancy indexing
     model = IncrementalBatchError(GeometricResidualSchedule(0.9, 0.8, 5000), selection="uniform")
-    assert_matches_reference(problem, model, np.zeros(5), 8, 4)
+    assert_matches_reference(_tall_problem(), model, np.zeros(5), 8, 4)
+
+
+PREFIX_CASES = {
+    "square": (lambda: _reference_problem(SQUARE), REFERENCE_MODELS["prefix-batch"], 4, 40),
+    "logistic": (lambda: _reference_problem(LOGISTIC), REFERENCE_MODELS["prefix-batch"], 4, 40),
+    "tall": (_tall_problem, IncrementalBatchError(GeometricResidualSchedule(0.9, 0.8, 5000), selection="prefix"),
+             5, 20),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PREFIX_CASES))
+def test_prefix_batch_run_agrees_with_the_summed_arithmetic(case):
+    # a prefix batch draws no random numbers, so the left-out formula and
+    # the old sums over the batch and its complement follow the same path
+    # and may differ only by rounding
+    make_problem, model, n, iterations = PREFIX_CASES[case]
+    problem = make_problem()
+    x0 = np.linspace(-1.0, 1.0, n)
+    traj = run(problem, model, x0, iterations, seed=3)
+    old = reference_run(problem, model, x0, iterations, 3, batch_error=summed_batch_error)
+    for name in ("xs", "fs", "grad_norms", "errors", "err_norms", "step_norms"):
+        expected = old[name]
+        np.testing.assert_allclose(getattr(traj, name), expected, rtol=1e-12,
+                                   atol=1e-12 * np.max(np.abs(expected)), err_msg=name)
+    assert np.array_equal(traj.batch_sizes, old["batch_sizes"])
+
+
+def test_uniform_batch_errors_are_right_in_law():
+    # the error drawn at x_k must have the expected squared norm of a batch
+    # of s_k rows drawn without replacement: over 100 seeds, the mean excess
+    # of ||e_{k+1}||^2 over expected_sq_error(x_k, s_k) lies within 4
+    # standard errors of 0 at every step
+    problem = random_square_problem(71, samples=12, features=3)
+    model = IncrementalBatchError(ExplicitSchedule((2, 3, 5, 7, 9, 11), 12), selection="uniform")
+    steps = 6
+    excess = np.empty((100, steps))
+    for seed in range(100):
+        traj = run(problem, model, np.zeros(3), steps, seed=seed)
+        for k in range(steps):
+            expected = expected_sq_error(problem, traj.xs[k], int(traj.batch_sizes[k]))
+            excess[seed, k] = traj.err_norms[k] ** 2 - expected
+    mean = excess.mean(axis=0)
+    stderr = excess.std(axis=0, ddof=1) / np.sqrt(excess.shape[0])
+    assert np.all(np.abs(mean) <= 4.0 * stderr), (mean, stderr)
 
 
 SIGMOID_EDGES = [0.0, -0.0, 1e-300, -1e-300, 36.0, -36.0, 745.0, -745.0, 800.0, -800.0,
@@ -395,10 +481,15 @@ def test_batch_forms_agree_like_allclose(entries):
 def test_batch_error_raises_when_the_forms_disagree():
     problem = random_square_problem(7, samples=12, features=3)
     _, slopes, g = problem.evaluate(np.ones(3))
-    indices = np.arange(5)
-    _batch_error(problem.features, slopes, g, indices)
+    left_out = np.arange(5, 12)
+    _batch_error(problem.features, slopes, g, left_out)
     with pytest.raises(ArithmeticError, match="disagree"):
-        _batch_error(problem.features, slopes, g + 1e-9, indices)
+        _batch_error(problem.features, slopes, g + 1e-9, left_out)
+    # a repeated left-out row is masked once but counted twice, so the
+    # batch sums the two forms imply differ by that row's gradient
+    _batch_error(problem.features, slopes, g, np.array([3, 8, 10]))
+    with pytest.raises(ArithmeticError, match="disagree"):
+        _batch_error(problem.features, slopes, g, np.array([3, 8, 3]))
 
 
 class GradientOverride(ComposedProblem):
