@@ -20,8 +20,7 @@ their whole stream before the first step: one ``standard_normal`` call
 filling all K random directions gives the same numbers, in the same order,
 as one call per step. Uniform batch selection draws one left-out set per
 step, in iteration order, with ``rng.choice(M, M - s, replace=False,
-shuffle=False)``; it replaced ``rng.permutation(M)[:s]`` on purpose, and
-changed the bits of batch-error runs only.
+shuffle=False)``; prefix selection leaves out the rows from s on.
 
 Runs are reproducible bit for bit, and the step kernel keeps the bits fixed:
 every sum adds the same values in the same order, and every norm is
@@ -234,21 +233,26 @@ def _forms_agree(a: np.ndarray, b: np.ndarray) -> bool:
 
 
 def _batch_error(features: np.ndarray, slopes: np.ndarray, g: np.ndarray, left_out: np.ndarray) -> np.ndarray:
-    """Batch-mean gradient minus the full gradient ``g``, from the r rows
-    ``left_out`` that a batch of s = M - r rows leaves out, the per-sample
-    gradients being ``slopes[:, None] * features``:
-    e = (r g - slopes[R] @ features[R]) / s, exactly zero for a full batch.
-    The direct form (batch mean minus ``g``), one BLAS pass over all M rows
-    with the left-out slopes zeroed, must agree with it to _BATCH_FORM_ATOL
-    per coordinate; a repeated left-out index breaks that agreement."""
+    """Batch-mean gradient minus the full gradient ``g`` for the batch of
+    s = M - r rows that leaves out the r rows ``left_out``, the per-sample
+    gradients being ``slopes[:, None] * features``. With S_R the gathered
+    left-out sum and S_B one BLAS pass over all M rows with the left-out
+    slopes zeroed, e = (r g - S_R) / s for r <= s (exactly zero for a full
+    batch) and S_B / s - g for r > s, whose rounding does not grow with r / s.
+    The direct form must agree with (r / (M s)) S_B - S_R / M to
+    _BATCH_FORM_ATOL per coordinate; the two differ by (S_B + S_R - M g) / M,
+    so a repeated left-out index or a ``g`` off the mean breaks it."""
+    m = features.shape[0]
     r = left_out.shape[0]
-    s = features.shape[0] - r
-    error = (r * g - slopes.take(left_out) @ features.take(left_out, axis=0)) / s
+    s = m - r
+    left_sum = slopes.take(left_out) @ features.take(left_out, axis=0)
     masked = slopes.copy()
     masked[left_out] = 0.0
-    if not _forms_agree(error, (masked @ features) / s - g):
+    batch_sum = masked @ features
+    direct = batch_sum / s - g
+    if not _forms_agree((r / (m * s)) * batch_sum - left_sum / m, direct):
         raise ArithmeticError("batch-error forms disagree beyond tolerance")
-    return error
+    return (r * g - left_sum) / s if r <= s else direct
 
 
 def _fill_errors(model: ZeroError | SyntheticError, errors: np.ndarray, first: int,

@@ -289,21 +289,26 @@ def reference_parts(problem, x):
 
 
 def left_out_batch_error(problem, slopes, g, s, selection, rng):
-    """e = ((M - s) g - sum of the left-out per-sample gradients) / s, the
-    left-out rows being the tail (prefix selection) or a uniform draw of
-    M - s distinct rows."""
+    """e = ((M - s) g - sum of the left-out per-sample gradients) / s while
+    the batch leaves out at most half the rows, else the batch mean minus
+    g; the left-out rows are the tail (prefix selection) or a uniform draw
+    of M - s distinct rows."""
     m = problem.n_samples
     if selection == "prefix":
         left_out = np.arange(s, m)
     else:
         left_out = rng.choice(m, m - s, replace=False, shuffle=False)
-    return ((m - s) * g - slopes[left_out] @ problem.features[left_out]) / s
+    if m - s <= s:
+        return ((m - s) * g - slopes[left_out] @ problem.features[left_out]) / s
+    chosen = np.ones(m, dtype=bool)
+    chosen[left_out] = False
+    return np.where(chosen, slopes, 0.0) @ problem.features / s - g
 
 
 def summed_batch_error(problem, slopes, g, s, selection, rng):
-    """The batch error as the engine once computed it: a permutation of all
-    M rows picks the batch, and the weighted batch sum minus the left-out
-    sum are each added row by row with ``.sum(axis=0)``."""
+    """The batch error from sums over the batch and over its complement,
+    each added row by row with ``.sum(axis=0)``, a permutation of all M rows
+    picking a uniform batch."""
     m = problem.n_samples
     indices = np.arange(s) if selection == "prefix" else rng.permutation(m)[:s]
     grads = slopes[:, None] * problem.features
@@ -388,9 +393,9 @@ def test_run_matches_reference_loop_bitwise(loss, name):
     assert_matches_reference(_reference_problem(loss), REFERENCE_MODELS[name], np.linspace(-1.0, 1.0, 4), iterations, 3)
 
 
-def _tall_problem():
+def _tall_problem(samples=5000):
     rng = np.random.default_rng(23)
-    return ComposedProblem(rng.standard_normal((5000, 5)), rng.standard_normal(5000), SQUARE)
+    return ComposedProblem(rng.standard_normal((samples, 5)), rng.standard_normal(samples), SQUARE)
 
 
 def test_run_matches_reference_loop_bitwise_on_a_tall_problem():
@@ -490,6 +495,21 @@ def test_batch_error_raises_when_the_forms_disagree():
     _batch_error(problem.features, slopes, g, np.array([3, 8, 10]))
     with pytest.raises(ArithmeticError, match="disagree"):
         _batch_error(problem.features, slopes, g, np.array([3, 8, 3]))
+
+
+@pytest.mark.parametrize("selection", ["prefix", "uniform"])
+def test_small_batches_of_many_rows_pass_the_forms_check(selection):
+    # a batch of 1 or 2 rows out of 20000: the left-out form
+    # ((M - s) g - S_R) / s would round about 2e4 times a row's rounding,
+    # beyond _BATCH_FORM_ATOL, so such a batch takes the direct form
+    problem = _tall_problem(20_000)
+    model = IncrementalBatchError(ExplicitSchedule((1, 2, 20_000), 20_000), selection=selection)
+    traj = run(problem, model, np.zeros(5), 3, seed=0)
+    assert traj.batch_sizes.tolist() == [1, 2, 20_000]
+    assert not traj.errors[2].any()
+    if selection == "prefix":
+        _, slopes, g = problem.evaluate(traj.xs[0])
+        np.testing.assert_allclose(traj.errors[0], slopes[0] * problem.features[0] - g, rtol=1e-14)
 
 
 class GradientOverride(ComposedProblem):
