@@ -11,8 +11,9 @@ Subcommands:
 * ``certify``  compute and save the optimality certificate of a dataset.
 
 Exit codes: 0 pass, 1 usage or I/O error, 2 verification failure (or a
-diverged run), 3 certification failure. The ``IGM_LAB_SEED`` environment
-variable overrides config seeds with a single seed, for smoke tests.
+diverged run, or a failed batch-error check), 3 certification failure.
+The ``IGM_LAB_SEED`` environment variable overrides config seeds with a
+single seed, for smoke tests.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from .datagen import (
     save_problem,
 )
 from .diagnostics import RateReport, aggregate_expectation, check_ls_expected_bound, diagnose
-from .engine import DivergedError, IncrementalBatchError, Trajectory, run
+from .engine import DivergedError, IncrementalBatchError, Trajectory, run, run_batch
 from .optimum import CertificationError, OptimalSetCertificate, attach_distances, certify
 from .problems import SQUARE, ComposedProblem
 
@@ -149,16 +150,23 @@ def _execute(config: ExperimentConfig, out_dir: Path) -> tuple[int, dict[str, An
     model = config.build_error_model(problem)
     digest = config.digest
 
+    starts = [config.initial_point(problem, seed) for seed in config.seeds]
+    try:
+        batch = run_batch(problem, model, starts, config.iterations, config.seeds)
+    except (DivergedError, ArithmeticError):
+        batch = None  # rerun seed by seed: the seeds before the first failing one keep their files
     trajectories: list[Trajectory] = []
     reports: list[RateReport] = []
     failed = False
-    for seed in config.seeds:
-        start = config.initial_point(problem, seed)
+    for i, seed in enumerate(config.seeds):
         try:
-            traj = run(problem, model, start, config.iterations, seed=seed)
+            traj = batch[i] if batch is not None else run(problem, model, starts[i], config.iterations, seed=seed)
         except DivergedError as exc:
             print(f"seed {seed}: diverged at iteration {exc.iteration}", file=sys.stderr)
             return EXIT_VERIFICATION, {"error": f"diverged at iteration {exc.iteration}"}
+        except ArithmeticError as exc:
+            print(exc, file=sys.stderr)
+            return EXIT_VERIFICATION, {"error": str(exc)}
         attach_distances(cert, problem, traj)
         write_trajectory_csv(out_dir / f"trajectory_seed{seed}.csv", traj, cert.f_min)
         report = diagnose(problem, cert, traj, config.tail_fraction, config.tolerance_scale)

@@ -14,21 +14,27 @@ Errors are indexed from 1: the step from x_{k-1} to x_k uses error k, so a
 geometric schedule gives ||e_k||^2 = scale * ratio**k literally. Batch
 schedules are indexed by the 0-based step, matching their residual targets.
 
-Randomness comes from one generator per run, consumed in a fixed order.
-Zero and synthetic errors do not depend on the iterate, so ``run`` draws
-their whole stream before the first step: one ``standard_normal`` call
-filling all K random directions gives the same numbers, in the same order,
-as one call per step. Uniform batch selection draws one left-out set per
-step, in iteration order, with ``rng.choice(M, M - s, replace=False,
-shuffle=False)``; prefix selection leaves out the rows from s on.
+``run_batch`` steps several seeds as one (S, n) stack; ``run`` is its
+one-seed case. Randomness comes from one generator per seed, consumed in a
+fixed order. Zero and synthetic errors do not depend on the iterate, so
+their whole stream is drawn before the first step: one ``standard_normal``
+call filling all K random directions of a seed gives the same numbers, in
+the same order, as one call per step. Uniform batch selection draws one
+left-out set per step, in iteration order, with ``rng.choice(M, M - s,
+replace=False, shuffle=False)``; prefix selection leaves out the rows from
+s on.
 
 Runs are reproducible bit for bit, and the step kernel keeps the bits fixed:
 every sum adds the same values in the same order, and every norm is
 ``sqrt(v . v)``, which is what ``np.linalg.norm`` computes for a real 1-D
-array. ``tests/test_engine.py`` checks this against a plain reference loop.
-Rewrites measured to change the bits, and so left out: ``np.einsum`` or
-``sum(where=...)`` in place of the BLAS product over the left-out rows, and
-iterating several seeds as one stacked array.
+array. A stack keeps each seed's bits by the unit-middle-axis rule: every
+product over the stack is a ``matmul`` of (S, 1, a) items, by an (a, b)
+matrix or by (S, a, 1) items, which numpy hands row by row to the BLAS
+call one vector takes; the plain GEMM ``X @ E.T`` rounds differently.
+``tests/test_engine.py`` checks all of this against a plain reference
+loop. Rewrites measured to change the bits, and so left out: ``np.einsum``
+or ``sum(where=...)`` in place of the BLAS product over the left-out rows,
+and a GEMM over the stack.
 """
 
 from __future__ import annotations
@@ -47,9 +53,10 @@ _BATCH_FORM_ATOL = 1e-12
 class DivergedError(RuntimeError):
     """Iteration produced a non-finite objective, gradient, or point."""
 
-    def __init__(self, iteration: int):
-        super().__init__(f"iterate diverged at iteration {iteration}")
+    def __init__(self, iteration: int, seed: int):
+        super().__init__(f"seed {seed}: iterate diverged at iteration {iteration}")
         self.iteration = iteration
+        self.seed = seed
 
 
 # ---------------------------------------------------------------------------
@@ -250,29 +257,36 @@ def _batch_error(features: np.ndarray, slopes: np.ndarray, g: np.ndarray, left_o
     masked[left_out] = 0.0
     batch_sum = masked @ features
     direct = batch_sum / s - g
-    if not _forms_agree((r / (m * s)) * batch_sum - left_sum / m, direct):
-        raise ArithmeticError("batch-error forms disagree beyond tolerance")
+    other = (r / (m * s)) * batch_sum - left_sum / m
+    if not _forms_agree(other, direct):
+        raise ArithmeticError(f"batch-error forms disagree by up to {np.max(np.abs(other - direct)):.3g},"
+                              f" beyond {_BATCH_FORM_ATOL:g}")
     return (r * g - left_sum) / s if r <= s else direct
 
 
+def _dots(v: np.ndarray) -> np.ndarray:
+    """``v . v`` for each vector along the last axis, by the unit-middle-axis
+    rule, so each value is ``v.dot(v)`` bit for bit."""
+    return (v[..., None, :] @ v[..., :, None])[..., 0, 0]
+
+
 def _fill_errors(model: ZeroError | SyntheticError, errors: np.ndarray, first: int,
-                 rng: np.random.Generator) -> None:
+                 rngs: list[np.random.Generator]) -> None:
     """Write the errors e_first, e_first+1, ... of a model that does not
-    depend on the iterate into the rows of ``errors``. Each row is a unit
-    direction scaled by its scheduled norm; random directions come from one
-    ``standard_normal`` call over all rows, which draws what one call per
-    row would."""
+    depend on the iterate into ``errors`` (S, K, n), seed i's from
+    ``rngs[i]``. Each row is a unit direction scaled by its scheduled norm;
+    a seed's random directions come from one ``standard_normal`` call over
+    its K rows, which draws what one call per row would."""
     if isinstance(model, ZeroError):
         errors.fill(0.0)
         return
     if model.direction is None:
-        rng.standard_normal(out=errors)
-        for d in errors:
-            d /= math.sqrt(d.dot(d))
+        for rng, block in zip(rngs, errors):
+            rng.standard_normal(out=block)
+        errors /= np.sqrt(_dots(errors))[..., None]
     else:
         errors[:] = model.direction
-    for k, d in enumerate(errors, start=first):
-        d *= model.norms.norm_at(k)
+    errors *= np.array([model.norms.norm_at(k) for k in range(first, first + errors.shape[1])])[:, None]
 
 
 def _draw_error(
@@ -287,9 +301,9 @@ def _draw_error(
     if k < 1:
         raise ValueError("error index k starts at 1")
     if not isinstance(model, IncrementalBatchError):
-        errors = np.empty((1, problem.n_features))
-        _fill_errors(model, errors, k, rng)
-        return errors[0], None
+        errors = np.empty((1, 1, problem.n_features))
+        _fill_errors(model, errors, k, [rng])
+        return errors[0, 0], None
     size = model.schedule.size_at(k - 1)
     m = problem.n_samples
     if model.selection == "prefix":
@@ -297,14 +311,6 @@ def _draw_error(
     else:
         left_out = rng.choice(m, m - size, replace=False, shuffle=False)
     return _batch_error(problem.features, slopes, g, left_out), size
-
-
-def make_error(model: ErrorModel, problem: ComposedProblem, x, k: int,
-               rng: np.random.Generator) -> np.ndarray:
-    """Draw the error vector e_k for the step from x_{k-1} (see module doc)."""
-    _check_fits(model, problem)
-    _, slopes, g = problem.evaluate(x)
-    return _draw_error(model, problem, slopes, g, k, rng)[0]
 
 
 def expected_sq_error(problem: ComposedProblem, x, batch_size: int) -> float:
@@ -355,83 +361,85 @@ class Trajectory:
         return self.fs - f_min
 
 
-def run(
-    problem: ComposedProblem,
-    model: ErrorModel,
-    x0,
-    iterations: int,
-    seed: int = 0,
-) -> Trajectory:
-    """Run the inexact gradient method for a fixed number of steps.
+def run(problem: ComposedProblem, model: ErrorModel, x0, iterations: int, seed: int = 0) -> Trajectory:
+    """``run_batch`` for the one start ``x0`` and the one ``seed``."""
+    return run_batch(problem, model, [x0], iterations, [seed])[0]
+
+
+def run_batch(problem: ComposedProblem, model: ErrorModel, starts, iterations: int, seeds) -> list[Trajectory]:
+    """Run the inexact gradient method once per seed, all seeds as one stack.
 
     Parameters
     ----------
     problem : ComposedProblem
     model : ErrorModel
         Where the per-iteration gradient error comes from.
-    x0 : (n,) array_like
-        Starting point.
+    starts : (S, n) array_like
+        One starting point per seed.
     iterations : int
-        Number of steps K >= 1; the trajectory records K+1 iterates.
-    seed : int
-        Seeds the run's private random generator.
+        Number of steps K >= 1; each trajectory records K+1 iterates.
+    seeds : sequence of S ints
+        Each seeds its run's private random generator.
+
+    Returns
+    -------
+    The S trajectories, in the order of ``seeds``. Each holds, bit for bit,
+    what a stack of that seed alone gives.
 
     Raises
     ------
     DivergedError
-        If any objective value, gradient, or iterate stops being finite.
+        If any objective value, gradient, or iterate stops being finite: at
+        the first iteration where one does, for the first such seed.
+    ArithmeticError
+        If the two forms of a batch error disagree (see ``_batch_error``).
     """
     if iterations < 1:
         raise ValueError("iterations must be at least 1")
-    x = np.array(x0, dtype=float)
-    if x.shape != (problem.n_features,):
-        raise ValueError(f"x0 must have shape ({problem.n_features},)")
+    seeds = list(seeds)
+    S, n, K = len(seeds), problem.n_features, iterations
+    x = np.array(starts, dtype=float)
+    if x.shape != (S, n):
+        raise ValueError(f"starts must have shape ({S}, {n}), one row per seed")
     _check_fits(model, problem)
-    rng = np.random.default_rng(seed)
+    rngs = [np.random.default_rng(seed) for seed in seeds]
     L = problem.constants.composed
-    K = iterations
-    n = problem.n_features
-    xs = np.empty((K + 1, n))
-    fs = np.empty(K + 1)
-    grad_norms = np.empty(K + 1)
-    errors = np.empty((K, n))
-    err_norms = np.empty(K)
-    step_norms = np.empty(K)
+    xs = np.empty((S, K + 1, n))
+    fs = np.empty((S, K + 1))
+    grad_norms = np.empty((S, K + 1))
+    errors = np.empty((S, K, n))
+    err_norms = np.empty((S, K))
+    step_norms = np.empty((S, K))
     batched = isinstance(model, IncrementalBatchError)
-    batch_sizes = np.empty(K, dtype=np.int64) if batched else None
+    batch_sizes = np.empty((S, K), dtype=np.int64) if batched else [None] * S
     if not batched:
-        _fill_errors(model, errors, 1, rng)
+        _fill_errors(model, errors, 1, rngs)
 
     for k in range(K + 1):
         f, slopes, g = problem.evaluate(x)
-        gg = g.dot(g)
-        # a finite sum of squares has only finite terms, so the entrywise
-        # test runs only where the sum is not finite (NaN, or an overflow)
-        if not (math.isfinite(f) and (math.isfinite(gg) or np.isfinite(g).all())):
-            raise DivergedError(k)
-        xs[k] = x
-        fs[k] = f
-        grad_norms[k] = math.sqrt(gg)
+        gg = _dots(g)
+        # a gradient of finite entries passes even where g . g overflows
+        finite = np.isfinite(f) & (np.isfinite(gg) | np.isfinite(g).all(axis=1))
+        if not finite.all():
+            raise DivergedError(k, seeds[int(finite.argmin())])
+        xs[:, k] = x
+        fs[:, k] = f
+        grad_norms[:, k] = np.sqrt(gg)
         if k == K:
             break
         if batched:
-            errors[k], batch_sizes[k] = _draw_error(model, problem, slopes, g, k + 1, rng)
-        e = errors[k]
-        err_norms[k] = math.sqrt(e.dot(e))
+            for i, rng in enumerate(rngs):
+                try:
+                    errors[i, k], batch_sizes[i, k] = _draw_error(model, problem, slopes[i], g[i], k + 1, rng)
+                except ArithmeticError as exc:
+                    raise ArithmeticError(f"seed {seeds[i]}: at step {k}, {exc}") from None
+        e = errors[:, k]
+        err_norms[:, k] = np.sqrt(_dots(e))
         step = g + e
         step /= L
-        step_norms[k] = math.sqrt(step.dot(step))
+        step_norms[:, k] = np.sqrt(_dots(step))
         x = x - step
 
-    return Trajectory(
-        xs=xs,
-        fs=fs,
-        grad_norms=grad_norms,
-        errors=errors,
-        err_norms=err_norms,
-        step_norms=step_norms,
-        batch_sizes=batch_sizes,
-        seed=seed,
-        problem_digest=problem.digest,
-        model_label=model.describe(),
-    )
+    label = model.describe()
+    return [Trajectory(xs[i], fs[i], grad_norms[i], errors[i], err_norms[i], step_norms[i], batch_sizes[i],
+                       seed, problem.digest, label) for i, seed in enumerate(seeds)]

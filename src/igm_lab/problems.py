@@ -104,10 +104,10 @@ class ComposedProblem:
     def _margins(self, scores: np.ndarray) -> np.ndarray:
         """What both loss formulas are functions of, per sample: the
         residual ``scores - labels`` (square) or ``-labels * scores``
-        (logistic)."""
+        (logistic), written over ``scores``."""
         if self.loss == SQUARE:
-            return scores - self.labels
-        return -self.labels * scores
+            return np.subtract(scores, self.labels, out=scores)
+        return np.multiply(-self.labels, scores, out=scores)
 
     def _loss_slopes(self, margins: np.ndarray) -> np.ndarray:
         """Per-sample derivative of the loss with respect to its score."""
@@ -115,24 +115,32 @@ class ComposedProblem:
             return 2.0 * margins
         return -self.labels * _sigmoid(margins)
 
-    def _mean_loss(self, margins: np.ndarray) -> float:
+    def _mean_loss(self, margins: np.ndarray) -> np.ndarray:
+        """Mean loss along the last axis; the losses overwrite ``margins``."""
         # sum / M is how np.mean divides; np.add.reduce is the reduction
         # ndarray.sum calls, without its wrapper's cost
         if self.loss == SQUARE:
-            losses = margins**2
+            losses = np.square(margins, out=margins)
         else:
-            losses = np.logaddexp(0.0, margins)
-        return float(np.add.reduce(losses)) / self.n_samples
+            losses = np.logaddexp(0.0, margins, out=margins)
+        return np.add.reduce(losses, axis=-1) / self.n_samples
 
-    def evaluate(self, x) -> tuple[float, np.ndarray, np.ndarray]:
-        """``(f(x), slopes, gradient(x))`` from one pass ``features @ x``;
-        ``slopes[:, None] * features`` are the per-sample gradients."""
-        margins = self._margins(self.features @ self._point(x))
+    def evaluate(self, x) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(f, slopes, gradient)`` at a point (n,) or at each row of a
+        stack (S, n), from one pass of the scores ``features @ x``;
+        ``slopes[..., :, None] * features`` are the per-sample gradients.
+        ``matmul`` with a unit middle axis hands each row to the BLAS
+        product a lone point takes, so a row's results keep its bits."""
+        x = np.asarray(x, dtype=float)
+        if x.ndim > 2 or x.shape[-1:] != (self.n_features,):
+            raise ValueError(f"points must have shape ({self.n_features},) or (S, {self.n_features}), got {x.shape}")
+        margins = self._margins((x[..., None, :] @ self.features.T)[..., 0, :])
         slopes = self._loss_slopes(margins)
-        return self._mean_loss(margins), slopes, self.features.T @ slopes / self.n_samples
+        gradient = (slopes[..., None, :] @ self.features)[..., 0, :] / self.n_samples
+        return self._mean_loss(margins), slopes, gradient
 
     def objective(self, x) -> float:
-        return self._mean_loss(self._margins(self.features @ self._point(x)))
+        return float(self._mean_loss(self._margins(self.features @ self._point(x))))
 
     def gradient(self, x) -> np.ndarray:
         """Gradient of the mean loss at ``x``."""

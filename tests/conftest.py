@@ -28,7 +28,7 @@ from igm_lab import (
     diagnose,
     generate_least_squares,
     generate_logistic,
-    run,
+    run_batch,
 )
 
 
@@ -121,7 +121,7 @@ def battery() -> list[BatteryRun]:
     runs = []
     for name, problem, model, iterations, seed in configs:
         cert = certs[id(problem)]
-        traj = run(problem, model, np.zeros(problem.n_features), iterations, seed=seed)
+        [traj] = run_batch(problem, model, np.zeros((1, problem.n_features)), iterations, [seed])
         attach_distances(cert, problem, traj)
         runs.append(BatteryRun(name, problem, cert, traj, diagnose(problem, cert, traj)))
     return runs

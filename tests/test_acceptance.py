@@ -11,6 +11,7 @@ import numpy as np
 
 import igm_lab as lab
 from igm_lab.cli import main
+from igm_lab.engine import _draw_error
 
 GAP_TOLERANCE = 1e-10
 
@@ -218,9 +219,10 @@ def test_criterion_09_sampling_variance_identity():
     x = np.random.default_rng(31).standard_normal(6)
     model = lab.IncrementalBatchError(lab.ExplicitSchedule((60,), 200), selection="uniform")
     draw_rng = np.random.default_rng(32)
+    _, slopes, g = big.evaluate(x)
     samples = np.array(
         [
-            float(np.sum(lab.make_error(model, big, x, 1, draw_rng) ** 2))
+            float(np.sum(_draw_error(model, big, slopes, g, 1, draw_rng)[0] ** 2))
             for _ in range(2000)
         ]
     )
@@ -243,10 +245,7 @@ def test_criterion_10_expected_rates_over_seeds():
 
     def mean_runs(schedule, iterations):
         model = lab.IncrementalBatchError(schedule, selection="uniform")
-        return [
-            lab.run(problem, model, np.zeros(5), iterations, seed=seed)
-            for seed in range(100)
-        ]
+        return lab.run_batch(problem, model, np.zeros((100, 5)), iterations, range(100))
 
     geo_runs = mean_runs(lab.GeometricResidualSchedule(0.9, 0.8, 20000), 34)
     geo = lab.aggregate_expectation(geo_runs, cert)

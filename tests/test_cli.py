@@ -2,6 +2,7 @@
 
 import csv
 import json
+import re
 
 import numpy as np
 import pytest
@@ -204,6 +205,58 @@ class TestRunCommand:
         names += [f"{kind}_seed{seed}.{ext}" for seed in (0, 1) for kind, ext in (("trajectory", "csv"), ("verdict", "json"))]
         assert sorted(p.name for p in out.iterdir()) == sorted(names)
         assert len(read_rows(out / "trajectory_seed0.csv")) == 32
+
+
+    def test_second_seed_diverging_keeps_the_first_seeds_files(self, tiny_setup, capsys):
+        # from a ball of radius 1.5e154, seed 0 starts where f is finite and
+        # seed 1 where it overflows: seed 0 runs to the end and writes what
+        # it writes alone, and seed 1 reports its divergence
+        raw, _, tmp_path = tiny_setup
+        raw = dict(raw, start={"kind": "random_ball", "radius": 1.5e154}, seeds=[0, 1])
+        config = tmp_path / "diverging.json"
+        config.write_text(json.dumps(raw))
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert main(["run", "--config", str(config), "--out", str(tmp_path / "both")]) == 2
+            stdout, stderr = capsys.readouterr()
+            config.write_text(json.dumps(dict(raw, seeds=[0])))
+            main(["run", "--config", str(config), "--out", str(tmp_path / "alone")])
+        assert stdout.startswith("seed 0: violations=")
+        assert stderr == "seed 1: diverged at iteration 0\n"
+        names = ["certificate.json", "trajectory_seed0.csv", "verdict_seed0.json"]
+        assert sorted(p.name for p in (tmp_path / "both").iterdir()) == names
+        for name in names[:2]:
+            assert (tmp_path / "both" / name).read_bytes() == (tmp_path / "alone" / name).read_bytes()
+        verdicts = [json.loads((tmp_path / run / names[2]).read_text()) for run in ("both", "alone")]
+        for verdict in verdicts:
+            del verdict["config_digest"]  # the two configs differ in their seeds
+        assert verdicts[0] == verdicts[1]
+
+    def test_batch_form_failure_exits_two(self, tmp_path, capsys):
+        # at 100 times the scale of unit data the batch-error forms differ by
+        # more than their absolute tolerance: every seed fails, seed 1 at step
+        # 1 and seed 0 at step 2. The run names the first seed in config
+        # order, its step and the difference, and exits 2 without a traceback
+        rng = np.random.default_rng(0)
+        problem = ComposedProblem(100.0 * rng.standard_normal((2000, 5)), 100.0 * rng.standard_normal(2000), SQUARE)
+        data = tmp_path / "scaled.csv"
+        save_problem(problem, data)
+        schedule = {"kind": "geometric", "initial": 0.5, "ratio": 0.8}
+        raw = {
+            "problem": {"kind": "dataset", "path": str(data), "loss": "square"},
+            "error_model": {"kind": "batch", "schedule": schedule, "selection": "uniform"},
+            "iterations": 30,
+            "seeds": [0, 1],
+        }
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(raw))
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(config), "--out", str(out)]) == 2
+        stdout, stderr = capsys.readouterr()
+        match = re.fullmatch(r"seed 0: at step 2, batch-error forms disagree by up to (\S+), beyond 1e-12\n", stderr)
+        assert match, stderr
+        assert float(match.group(1)) > 1e-12
+        assert stdout == ""
+        assert [p.name for p in out.iterdir()] == ["certificate.json"]
 
 
 class TestUsageErrors:

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,15 +18,19 @@ from igm_lab import (
     GeometricNorms,
     GeometricResidualSchedule,
     IncrementalBatchError,
+    LeastSquaresSpec,
     PolynomialNorms,
     PolynomialResidualSchedule,
     SyntheticError,
     ZeroError,
+    attach_distances,
+    certify,
     expected_sq_error,
-    make_error,
+    generate_least_squares,
     run,
+    run_batch,
 )
-from igm_lab.engine import _BATCH_FORM_ATOL, _batch_error, _forms_agree
+from igm_lab.engine import _BATCH_FORM_ATOL, _batch_error, _draw_error, _forms_agree
 from igm_lab.problems import _sigmoid
 
 TINY_FEATURES = np.array([[1.0, 0.0], [2.0, 0.0]])
@@ -140,10 +145,18 @@ class TestBatchSchedules:
             ExplicitSchedule((5, 11), 10)
 
 
+def draw_error(model, problem, x, k, rng):
+    """The error e_k a run at x would draw from ``rng`` for its step k - 1."""
+    _, slopes, g = problem.evaluate(x)
+    return _draw_error(model, problem, slopes, g, k, rng)[0]
+
+
 class TestMakeError:
+    """Error vectors drawn one at a time, as the step loop draws them."""
+
     def test_zero_model(self):
         problem = tiny_problem()
-        e = make_error(ZeroError(), problem, np.zeros(2), 1, np.random.default_rng(0))
+        e = draw_error(ZeroError(), problem, np.zeros(2), 1, np.random.default_rng(0))
         assert np.array_equal(e, np.zeros(2))
 
     def test_synthetic_norm_is_exact(self):
@@ -151,13 +164,13 @@ class TestMakeError:
         model = SyntheticError(GeometricNorms(4.0, 0.25))
         rng = np.random.default_rng(1)
         for k in (1, 2, 5):
-            e = make_error(model, problem, np.zeros(2), k, rng)
+            e = draw_error(model, problem, np.zeros(2), k, rng)
             assert np.linalg.norm(e) == pytest.approx(np.sqrt(4.0 * 0.25**k), rel=1e-12)
 
     def test_synthetic_fixed_direction(self):
         problem = tiny_problem()
         model = SyntheticError(GeometricNorms(1.0, 0.25), direction=np.array([3.0, 4.0]))
-        e = make_error(model, problem, np.zeros(2), 1, np.random.default_rng(0))
+        e = draw_error(model, problem, np.zeros(2), 1, np.random.default_rng(0))
         assert np.allclose(e, 0.5 * np.array([0.6, 0.8]), atol=1e-15)
 
     def test_synthetic_rejects_zero_direction(self):
@@ -167,13 +180,13 @@ class TestMakeError:
     def test_error_index_starts_at_one(self):
         problem = tiny_problem()
         with pytest.raises(ValueError):
-            make_error(ZeroError(), problem, np.zeros(2), 0, np.random.default_rng(0))
+            draw_error(ZeroError(), problem, np.zeros(2), 0, np.random.default_rng(0))
 
     def test_two_sample_batch_error_closed_form(self):
         problem = tiny_problem()
         x = np.array([0.3, -0.2])
         model = IncrementalBatchError(ExplicitSchedule((1,), 2), selection="prefix")
-        e = make_error(model, problem, x, 1, np.random.default_rng(0))
+        e = draw_error(model, problem, x, 1, np.random.default_rng(0))
         g0 = problem.sample_gradient(0, x)
         g1 = problem.sample_gradient(1, x)
         assert np.allclose(e, (g0 - g1) / 2.0, atol=1e-14)
@@ -183,7 +196,7 @@ class TestMakeError:
         problem = random_square_problem(3, samples=7, features=4)
         x = np.random.default_rng(9).standard_normal(4)
         model = IncrementalBatchError(ExplicitSchedule((3,), 7), selection="prefix")
-        e = make_error(model, problem, x, 1, np.random.default_rng(0))
+        e = draw_error(model, problem, x, 1, np.random.default_rng(0))
         batch_mean = problem.sample_gradients(x)[:3].mean(axis=0)
         assert np.allclose(problem.gradient(x) + e, batch_mean, atol=1e-12)
 
@@ -194,15 +207,15 @@ class TestMakeError:
         x = np.random.default_rng(2).standard_normal(3)
         model = IncrementalBatchError(ExplicitSchedule((11,), 11), selection="uniform")
         for seed in range(5):
-            e = make_error(model, problem, x, 1, np.random.default_rng(seed))
+            e = draw_error(model, problem, x, 1, np.random.default_rng(seed))
             assert np.array_equal(e, np.zeros(3))
 
     def test_uniform_selection_depends_on_rng(self):
         problem = random_square_problem(8, samples=12, features=3)
         x = np.ones(3)
         model = IncrementalBatchError(ExplicitSchedule((4,), 12), selection="uniform")
-        repeat = [make_error(model, problem, x, 1, np.random.default_rng(7)) for _ in range(2)]
-        other = make_error(model, problem, x, 1, np.random.default_rng(8))
+        repeat = [draw_error(model, problem, x, 1, np.random.default_rng(7)) for _ in range(2)]
+        other = draw_error(model, problem, x, 1, np.random.default_rng(8))
         assert np.array_equal(repeat[0], repeat[1])
         assert not np.array_equal(repeat[0], other)
 
@@ -253,13 +266,13 @@ class TestModelMustFitProblem:
         problem = tiny_problem()
         model = SyntheticError(GeometricNorms(1.0, 0.5), direction=np.array([1.0]))
         with pytest.raises(ValueError, match="direction length"):
-            make_error(model, problem, np.zeros(2), 1, np.random.default_rng(0))
+            run(problem, model, np.zeros(2), 1)
 
     def test_make_error_rejects_mismatched_schedule(self):
         problem = tiny_problem()
         model = IncrementalBatchError(ExplicitSchedule((1,), 3))
         with pytest.raises(ValueError, match="schedule total 3"):
-            make_error(model, problem, np.zeros(2), 1, np.random.default_rng(0))
+            run(problem, model, np.zeros(2), 1)
 
 
 def masked_sigmoid(z):
@@ -405,6 +418,94 @@ def test_run_matches_reference_loop_bitwise_on_a_tall_problem():
     assert_matches_reference(_tall_problem(), model, np.zeros(5), 8, 4)
 
 
+# the seeds of the widest stack, out of order; the narrow stacks take some of them
+STACK_SEEDS = [int(seed) for seed in np.random.default_rng(9).permutation(40)]
+STACKS = [STACK_SEEDS[:1], STACK_SEEDS[5:7], [STACK_SEEDS[9], STACK_SEEDS[2], STACK_SEEDS[30]], STACK_SEEDS]
+BATCH_CASES = [(loss, name) for loss in (SQUARE, LOGISTIC) for name in sorted(REFERENCE_MODELS)] + [("tall", "uniform")]
+
+
+@pytest.mark.parametrize("loss, name", BATCH_CASES)
+def test_run_batch_matches_the_reference_loop_bitwise(loss, name):
+    # every seed of a stack of 1, 2, 3 or 40 gets what the plain loop gives
+    # it alone, from a start of its own
+    if loss == "tall":
+        problem, iterations = _tall_problem(), 8
+        model = IncrementalBatchError(GeometricResidualSchedule(0.9, 0.8, 5000), selection="uniform")
+    else:
+        problem, model = _reference_problem(loss), REFERENCE_MODELS[name]
+        iterations = 500 if name.endswith("-500") else 40
+    n = problem.n_features
+    references = {}
+    for seeds in STACKS:
+        starts = np.array([np.linspace(-1.0, 1.0, n) * (1.0 + seed / 8) for seed in seeds])
+        trajs = run_batch(problem, model, starts, iterations, seeds)
+        assert [traj.seed for traj in trajs] == seeds
+        for seed, x0, traj in zip(seeds, starts, trajs):
+            if seed not in references:
+                references[seed] = reference_run(problem, model, x0, iterations, seed)
+            ref = references[seed]
+            for field in ("xs", "fs", "grad_norms", "errors", "err_norms", "step_norms"):
+                assert np.array_equal(getattr(traj, field), ref[field]), (seeds, seed, field)
+            if isinstance(model, IncrementalBatchError):
+                assert np.array_equal(traj.batch_sizes, ref["batch_sizes"])
+            else:
+                assert traj.batch_sizes is None
+
+
+@pytest.mark.parametrize("samples, features", [(50, 20), (200, 10), (20000, 5), (4000, 50), (7, 3)])
+def test_stacked_matmul_keeps_one_vector_bits(samples, features):
+    # the rule the stacked step kernel rests on: with a unit middle axis,
+    # matmul hands each row to the BLAS call a lone vector takes; another
+    # numpy or BLAS may break it, and this test names the identity first
+    rng = np.random.default_rng(samples + features)
+    E = rng.standard_normal((samples, features))
+    for width in (1, 2, 3, 8, 15, 40):
+        X = rng.standard_normal((width, features))
+        slopes = rng.standard_normal((width, samples))
+        scores = (X[:, None, :] @ E.T)[:, 0, :]
+        gradients = (slopes[:, None, :] @ E)[:, 0, :]
+        dots = (X[:, None, :] @ X[:, :, None])[:, 0, 0]
+        sums = np.add.reduce(slopes, axis=1)
+        for i in range(width):
+            assert np.array_equal(scores[i], E @ X[i]), ("E @ x", width, i)
+            assert np.array_equal(gradients[i], E.T @ slopes[i]), ("E.T @ s", width, i)
+            assert dots[i] == X[i].dot(X[i]), ("v . v", width, i)
+            assert sums[i] == np.add.reduce(slopes[i]), ("sum", width, i)
+
+
+def test_run_batch_validates_its_stack():
+    problem = tiny_problem()
+    assert [t.seed for t in run_batch(problem, ZeroError(), np.zeros((2, 2)), 3, [4, 1])] == [4, 1]
+    with pytest.raises(ValueError, match="starts must have shape"):
+        run_batch(problem, ZeroError(), np.zeros((2, 2)), 3, [0])
+    with pytest.raises(ValueError, match="starts must have shape"):
+        run_batch(problem, ZeroError(), np.zeros(2), 3, [0])
+    with pytest.raises(ValueError):
+        run_batch(problem, ZeroError(), np.zeros((1, 2)), 0, [0])
+
+
+def test_stacked_run_peak_memory_stays_below_attach_distances():
+    # the (S, M) scores and slopes of a stack are the run's largest arrays;
+    # at the 20000 x 5, 15-seed batch shape its tracemalloc peak must not
+    # exceed the one of attaching distances to a single trajectory, which
+    # the same command pays anyway
+    spec = LeastSquaresSpec(20000, 5, 3, 0.1, seed=5, singular_range=(0.7, 1.0))
+    problem = generate_least_squares(spec)
+    cert = certify(problem)
+    model = IncrementalBatchError(GeometricResidualSchedule(0.9, 0.8, 20000), selection="uniform")
+    tracemalloc.start()
+    try:
+        trajs = run_batch(problem, model, np.zeros((15, 5)), 34, range(15))
+        run_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        attach_distances(cert, problem, trajs[0])
+        attach_peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert run_peak <= attach_peak, (run_peak, attach_peak)
+
+
 PREFIX_CASES = {
     "square": (lambda: _reference_problem(SQUARE), REFERENCE_MODELS["prefix-batch"], 4, 40),
     "logistic": (lambda: _reference_problem(LOGISTIC), REFERENCE_MODELS["prefix-batch"], 4, 40),
@@ -514,20 +615,28 @@ def test_small_batches_of_many_rows_pass_the_forms_check(selection):
 
 class GradientOverride(ComposedProblem):
     """A problem whose ``evaluate`` returns ``gradient`` in place of the true
-    gradient on its call number ``at`` (0-based), which ``run`` makes at
-    iterate ``at``."""
+    gradient of stack row ``row`` on its call number ``at`` (0-based), which
+    ``run_batch`` makes at iterate ``at``."""
 
-    def __init__(self, problem, at, gradient):
+    def __init__(self, problem, at, gradient, row):
         super().__init__(problem.features, problem.labels, problem.loss)
         object.__setattr__(self, "at", at)
         object.__setattr__(self, "gradient_value", np.asarray(gradient, dtype=float))
+        object.__setattr__(self, "row", row)
         object.__setattr__(self, "calls", 0)
 
     def evaluate(self, x):
         f, slopes, g = super().evaluate(x)
         call = self.calls
         object.__setattr__(self, "calls", call + 1)
-        return f, slopes, (self.gradient_value if call == self.at else g)
+        if call == self.at:
+            g[self.row] = self.gradient_value
+        return f, slopes, g
+
+
+# (seeds of the stack, position of the poisoned row): alone, first of
+# three, and last of three with its seed out of order
+POISONED_ROWS = [([0], 0), ([0, 4, 2], 0), ([0, 4, 2], 2)]
 
 
 class TestFiniteness:
@@ -536,24 +645,29 @@ class TestFiniteness:
                              ids=["zero", "synthetic"])
     def test_non_finite_gradient_diverges_at_its_iterate(self, bad, model):
         problem = random_square_problem(51, samples=8, features=3)
-        poisoned = GradientOverride(problem, 3, [0.5, bad, -0.25])
-        with pytest.raises(DivergedError) as excinfo:
-            run(poisoned, model, np.zeros(3), 6, seed=0)
-        assert excinfo.value.iteration == 3
+        for seeds, row in POISONED_ROWS:
+            poisoned = GradientOverride(problem, 3, [0.5, bad, -0.25], row)
+            with pytest.raises(DivergedError) as excinfo:
+                run_batch(poisoned, model, np.zeros((len(seeds), 3)), 6, seeds)
+            assert (excinfo.value.iteration, excinfo.value.seed) == (3, seeds[row])
 
     def test_overflowing_gradient_norm_is_recorded_as_inf(self):
         # every entry is finite, so g is no reason to stop even though g . g
-        # overflows; the norm is recorded as inf
+        # overflows; the norm is recorded as inf, in that row only
         problem = random_square_problem(52, samples=8, features=3)
         huge = [1e200, -1e200, 1e200]
-        with np.errstate(over="ignore"):
-            traj = run(GradientOverride(problem, 6, huge), ZeroError(), np.zeros(3), 6, seed=0)
-        assert traj.grad_norms[6] == np.inf
-        assert np.all(np.isfinite(traj.grad_norms[:6]))
-        # earlier in the run the step it takes sends f to inf at the next iterate
-        with np.errstate(over="ignore"), pytest.raises(DivergedError) as excinfo:
-            run(GradientOverride(problem, 2, huge), ZeroError(), np.zeros(3), 6, seed=0)
-        assert excinfo.value.iteration == 3
+        clean = run(problem, ZeroError(), np.zeros(3), 6, seed=0)
+        for seeds, row in POISONED_ROWS:
+            starts = np.zeros((len(seeds), 3))
+            with np.errstate(over="ignore"):
+                trajs = run_batch(GradientOverride(problem, 6, huge, row), ZeroError(), starts, 6, seeds)
+            assert trajs[row].grad_norms[6] == np.inf
+            assert np.array_equal(trajs[row].grad_norms[:6], clean.grad_norms[:6])
+            assert all(np.array_equal(t.grad_norms, clean.grad_norms) for i, t in enumerate(trajs) if i != row)
+            # earlier in the run the step it takes sends f to inf at the next iterate
+            with np.errstate(over="ignore"), pytest.raises(DivergedError) as excinfo:
+                run_batch(GradientOverride(problem, 2, huge, row), ZeroError(), starts, 6, seeds)
+            assert (excinfo.value.iteration, excinfo.value.seed) == (3, seeds[row])
 
 
 class TestRun:
