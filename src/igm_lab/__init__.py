@@ -55,16 +55,8 @@ from .engine import (
     run,
     run_batch,
 )
-from .linalg import InfeasibleSystemError, min_norm_solve, rank_factorization, spectral_norm
-from .optimum import (
-    CertificationError,
-    GradientTooSmallError,
-    OptimalSetCertificate,
-    attach_distances,
-    certify,
-    distance_to_optimum,
-    error_bound_ratio,
-)
+from .linalg import rank_factorization, spectral_norm
+from .optimum import CertificationError, OptimalSetCertificate, attach_distances, certify
 from .problems import LOGISTIC, LOSSES, SQUARE, ComposedProblem, LipschitzConstants
 
 __version__ = "0.1.0"
@@ -81,9 +73,7 @@ __all__ = [
     "ExponentFit",
     "GeometricNorms",
     "GeometricResidualSchedule",
-    "GradientTooSmallError",
     "IncrementalBatchError",
-    "InfeasibleSystemError",
     "IterateEnvelopeFit",
     "LOGISTIC",
     "LOSSES",
@@ -107,9 +97,7 @@ __all__ = [
     "check_ls_error_bound",
     "check_ls_expected_bound",
     "diagnose",
-    "distance_to_optimum",
     "envelope_check",
-    "error_bound_ratio",
     "error_bound_ratios",
     "estimate_tau",
     "expected_sq_error",
@@ -121,7 +109,6 @@ __all__ = [
     "iterate_rate_check",
     "load_config",
     "load_problem",
-    "min_norm_solve",
     "mu_delta_formula",
     "parse_config",
     "qualifying_length",

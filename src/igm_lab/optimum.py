@@ -3,39 +3,35 @@
 For these objectives the optimal set is the affine slice
 ``{x : features @ x == optimal_image}``: strict convexity of the outer loss
 makes the score vector unique at every minimizer, so one reference
-minimizer plus its image pins down the whole set. That turns distance to
-the optimal set into a minimum-norm linear solve, which is what the
-diagnostics need.
+minimizer x* pins down the whole set as x* plus the null space of the
+features. The distance from x to that set is the length of the row-space
+part of x - x*, which is what the diagnostics need.
 
 Square problems are certified by a direct least-squares solve; logistic
 problems by exact gradient descent run to a tiny gradient norm, followed by
-projection onto the row space to get the minimum-norm representative.
+projection onto the row space to get the minimum-norm representative. The
+row-space basis comes from one ``rank_factorization`` per problem, shared by
+that projection and by every ``attach_distances`` call.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import RANK_CUTOFF, min_norm_solve, rank_factorization
+from .linalg import RANK_CUTOFF, rank_factorization
 from .problems import SQUARE, ComposedProblem
 
 # Certified gradient-norm ceiling, relative to 1 + L.
 GRAD_NORM_BOUND = 1e-11
 
-# Gradient norm below which an error-bound ratio is meaningless.
-RATIO_GRAD_FLOOR = 1e-10
-
 
 class CertificationError(RuntimeError):
     """Optimality could not be certified within the iteration budget."""
-
-
-class GradientTooSmallError(ValueError):
-    """Error-bound ratio requested at a point with a vanishing gradient."""
 
 
 @dataclass(eq=False)
@@ -80,11 +76,13 @@ def certify(
 ) -> OptimalSetCertificate:
     """Compute an optimal-set certificate for ``problem``.
 
-    Square losses are solved exactly (minimum-norm least squares). Logistic
-    losses run exact gradient descent from zero until the gradient norm
-    drops below ``grad_tolerance``, then project the result onto the row
-    space; descent from zero already stays there, so the projection only
-    strips rounding noise.
+    Square losses are solved exactly by minimum-norm ``lstsq`` (a minimizer
+    V_r S_r^-1 U_r^T b from the SVD lands an ulp off on the two-sample
+    closed-form problem, enough to move its exact 0.2 error-bound ratio).
+    Logistic losses run exact gradient descent from zero until the gradient
+    norm drops below ``grad_tolerance``, then project the result onto the
+    row space; descent from zero already stays there, so the projection
+    only strips rounding noise.
 
     Raises
     ------
@@ -110,7 +108,7 @@ def certify(
                 f"gradient descent did not reach tolerance {grad_tolerance:g} "
                 f"within {max_iterations} iterations"
             )
-        _, basis = rank_factorization(E)
+        basis = _row_basis(problem)
         x = basis @ (basis.T @ x)
         method = f"gradient_descent(iterations={iteration})"
 
@@ -129,30 +127,28 @@ def certify(
     )
 
 
-def distance_to_optimum(cert: OptimalSetCertificate, features, x) -> float:
-    """Euclidean distance from ``x`` to the optimal set."""
-    features = np.asarray(features, dtype=float)
-    offset = features @ np.asarray(x, dtype=float) - cert.optimal_image
-    return float(np.linalg.norm(min_norm_solve(features, offset)))
+@functools.lru_cache(maxsize=1)
+def _row_basis(problem: ComposedProblem) -> np.ndarray:
+    """Read-only (n, r) orthonormal basis V_r of the row space of the features.
 
-
-def error_bound_ratio(cert: OptimalSetCertificate, problem: ComposedProblem, x) -> float:
-    """Distance to the optimal set divided by the gradient norm at ``x``."""
-    grad_norm = float(np.linalg.norm(problem.gradient(x)))
-    if grad_norm <= RATIO_GRAD_FLOOR:
-        raise GradientTooSmallError(
-            f"gradient norm {grad_norm:.3e} is at or below {RATIO_GRAD_FLOOR:g}"
-        )
-    return distance_to_optimum(cert, problem.features, x) / grad_norm
+    Cached for the latest problem (problems hash by identity), so a command
+    factors its problem once; the (M, r) left factor is not kept, as it would
+    be a second copy of a tall dataset. ``rank_factorization`` is looked up
+    in this module at call time, so a wrapper on that name sees the call.
+    """
+    basis = rank_factorization(problem.features)[1]
+    basis.flags.writeable = False
+    return basis
 
 
 def attach_distances(cert: OptimalSetCertificate, problem: ComposedProblem, traj):
     """Fill ``traj.dists`` with the distance of every iterate to the optimal set.
 
-    Uses one pseudoinverse per problem (``problem.pseudoinverse``, computed
-    on first use and shared by every trajectory); pointwise it matches
-    ``distance_to_optimum`` to rounding.
+    The distance from x to ``{x* + z : features @ z == 0}`` is
+    ``||V_r.T @ (x - x*)||``, with V_r the row-space basis of the features,
+    truncated at ``RANK_CUTOFF`` as ``rank_factorization`` does; that is
+    ``||pinv(E) @ (E @ x - E @ x*)||`` in exact arithmetic, at the cost of
+    one (K+1, n) by (n, r) product per trajectory.
     """
-    offsets = traj.xs @ problem.features.T - cert.optimal_image
-    traj.dists = np.linalg.norm(offsets @ problem.pseudoinverse.T, axis=1)
+    traj.dists = np.linalg.norm((traj.xs - cert.minimizer) @ _row_basis(problem), axis=1)
     return traj

@@ -8,7 +8,7 @@ scores ``features @ x``:
 * logistic loss:  log(1 + exp(-label * score)), labels in {-1, +1}
 
 Instances are immutable; derived quantities (smoothness constants, sample
-radius, pseudoinverse, digest) are computed once and cached.
+radius, digest) are computed once and cached.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .linalg import RANK_CUTOFF, spectral_norm
+from .linalg import spectral_norm
 
 SQUARE = "square"
 LOGISTIC = "logistic"
@@ -147,12 +147,6 @@ class ComposedProblem:
         slopes = self._loss_slopes(self._margins(self.features @ self._point(x)))
         return self.features.T @ slopes / self.n_samples
 
-    def sample_gradient(self, i: int, x) -> np.ndarray:
-        """Gradient contributed by sample ``i`` alone (0-based index)."""
-        if not 0 <= i < self.n_samples:
-            raise IndexError(f"sample index {i} out of range [0, {self.n_samples})")
-        return self.sample_gradients(x)[i]
-
     def sample_gradients(self, x) -> np.ndarray:
         """All per-sample gradients, one per row; their mean is ``gradient(x)``."""
         slopes = self._loss_slopes(self._margins(self.features @ self._point(x)))
@@ -176,15 +170,6 @@ class ComposedProblem:
         """Largest of all row norms and absolute labels."""
         row_norms = np.linalg.norm(self.features, axis=1)
         return float(max(np.max(row_norms), np.max(np.abs(self.labels))))
-
-    @cached_property
-    def pseudoinverse(self) -> np.ndarray:
-        """Read-only pseudoinverse of ``features``; singular values below
-        ``RANK_CUTOFF * max(M, n)`` times the largest count as zero."""
-        E = self.features
-        pinv = np.linalg.pinv(E, rcond=RANK_CUTOFF * max(E.shape))
-        pinv.flags.writeable = False
-        return pinv
 
     @cached_property
     def digest(self) -> str:

@@ -6,6 +6,7 @@ Each test prints a single ``[criterion NN] PASS/FAIL`` line (visible with
 
 import itertools
 import json
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -300,36 +301,33 @@ def test_criterion_11_oracle_cross_checks(ls_tiny):
     _, _, vt = np.linalg.svd(features)
     null_basis = vt[2:]
     anchor = np.linalg.pinv(features) @ cert3.optimal_image
-    worst_dist = 0.0
-    for _ in range(25):
-        x = rng.standard_normal(3) * 2.0
-        projected = anchor + null_basis.T @ (null_basis @ (x - anchor))
-        oracle = float(np.linalg.norm(x - projected))
-        measured = lab.distance_to_optimum(cert3, features, x)
-        worst_dist = max(worst_dist, abs(measured - oracle))
+    xs = rng.standard_normal((25, 3)) * 2.0
+    projected = anchor + (xs - anchor) @ null_basis.T @ null_basis
+    oracle = np.linalg.norm(xs - projected, axis=1)
+    measured = lab.attach_distances(cert3, problem3, SimpleNamespace(xs=xs)).dists
+    worst_dist = float(np.max(np.abs(measured - oracle)))
 
     # closed-form distance on the tiny problem
     tiny_problem, tiny_cert = ls_tiny
-    for _ in range(25):
-        x = rng.standard_normal(2) * 3.0
-        exact = abs(x[0] - 1.0)
-        measured = lab.distance_to_optimum(tiny_cert, tiny_problem.features, x)
-        worst_dist = max(worst_dist, abs(measured - exact))
+    xs = rng.standard_normal((25, 2)) * 3.0
+    measured = lab.attach_distances(tiny_cert, tiny_problem, SimpleNamespace(xs=xs)).dists
+    worst_dist = max(worst_dist, float(np.max(np.abs(measured - np.abs(xs[:, 0] - 1.0)))))
 
-    # min-norm solutions carry no null-space component
+    # square certificates of consistent rank-deficient systems are the
+    # min-norm solutions: no null-space component
     worst_null = 0.0
     for seed in range(10):
         gen = np.random.default_rng(seed)
         a = gen.standard_normal((3, 2)) @ gen.standard_normal((2, 4))
         t = a @ gen.standard_normal(4)
-        u = lab.min_norm_solve(a, t)
+        u = lab.certify(lab.ComposedProblem(a, t, lab.SQUARE)).minimizer
         _, _, avt = np.linalg.svd(a)
         worst_null = max(worst_null, float(np.linalg.norm(avt[2:] @ u)))
 
     ok = worst_grad <= 1e-6 and worst_dist <= 1e-8 and worst_null <= 1e-8
     report(
         11,
-        "gradients, distances, and min-norm solves match independent oracles",
+        "gradients, distances, and min-norm certificates match independent oracles",
         ok,
         f"grad rel err {worst_grad:.2e}, dist err {worst_dist:.2e}, "
         f"null leak {worst_null:.2e}",

@@ -1,5 +1,8 @@
 """Unit tests for optimal-set certification and distance queries."""
 
+import tracemalloc
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -9,17 +12,30 @@ from igm_lab import (
     CertificationError,
     ComposedProblem,
     GeometricNorms,
-    GradientTooSmallError,
+    LeastSquaresSpec,
     OptimalSetCertificate,
     SyntheticError,
     ZeroError,
     attach_distances,
     certify,
-    distance_to_optimum,
-    error_bound_ratio,
+    error_bound_ratios,
+    generate_least_squares,
     run,
 )
+from igm_lab import optimum
 from igm_lab.linalg import RANK_CUTOFF
+
+
+def distances(cert, problem, points):
+    """``attach_distances`` at each row of a stack of points."""
+    return attach_distances(cert, problem, SimpleNamespace(xs=np.asarray(points, dtype=float))).dists
+
+
+def ratios(cert, problem, points):
+    """``error_bound_ratios`` at each row of a stack of points."""
+    points = np.asarray(points, dtype=float)
+    grad_norms = np.array([np.linalg.norm(problem.gradient(x)) for x in points])
+    return error_bound_ratios(SimpleNamespace(dists=distances(cert, problem, points), grad_norms=grad_norms))
 
 
 class TestSquareTinyCertificate:
@@ -39,31 +55,25 @@ class TestSquareTinyCertificate:
 
     def test_distances(self, ls_tiny):
         problem, cert = ls_tiny
-        assert distance_to_optimum(cert, problem.features, np.zeros(2)) == pytest.approx(1.0, abs=1e-12)
-        assert distance_to_optimum(cert, problem.features, np.array([1.0, 7.0])) == pytest.approx(0.0, abs=1e-12)
-        assert distance_to_optimum(cert, problem.features, np.array([3.0, 0.0])) == pytest.approx(2.0, abs=1e-12)
+        dists = distances(cert, problem, [[0.0, 0.0], [1.0, 7.0], [3.0, 0.0]])
+        assert dists == pytest.approx([1.0, 0.0, 2.0], abs=1e-12)
 
     def test_distance_triangle_sanity(self, ls_tiny):
         problem, cert = ls_tiny
-        rng = np.random.default_rng(2)
-        for _ in range(25):
-            x = rng.standard_normal(2) * 3.0
-            dist = distance_to_optimum(cert, problem.features, x)
-            assert dist <= np.linalg.norm(x - cert.minimizer) + 1e-12
+        points = np.random.default_rng(2).standard_normal((25, 2)) * 3.0
+        dists = distances(cert, problem, points)
+        assert np.all(dists <= np.linalg.norm(points - cert.minimizer, axis=1) + 1e-12)
 
     def test_error_bound_ratio_closed_form(self, ls_tiny):
         problem, cert = ls_tiny
-        rng = np.random.default_rng(3)
-        for _ in range(25):
-            x = rng.standard_normal(2) * 4.0
-            if abs(x[0] - 1.0) < 1e-6:
-                continue
-            assert error_bound_ratio(cert, problem, x) == pytest.approx(0.2, abs=1e-12)
+        points = np.random.default_rng(3).standard_normal((25, 2)) * 4.0
+        points = points[np.abs(points[:, 0] - 1.0) >= 1e-6]
+        assert ratios(cert, problem, points) == pytest.approx(np.full(len(points), 0.2), abs=1e-12)
 
     def test_error_bound_ratio_rejects_near_optimal_points(self, ls_tiny):
+        # the gradient vanishes on the optimal line, where no ratio is taken
         problem, cert = ls_tiny
-        with pytest.raises(GradientTooSmallError):
-            error_bound_ratio(cert, problem, np.array([1.0, 5.0]))
+        assert ratios(cert, problem, [[1.0, 5.0], [2.0, 5.0]]) == pytest.approx([0.2], abs=1e-12)
 
 
 class TestLogisticTinyCertificate:
@@ -76,7 +86,7 @@ class TestLogisticTinyCertificate:
 
     def test_error_bound_ratio_is_finite_positive(self, log_tiny):
         problem, cert = log_tiny
-        ratio = error_bound_ratio(cert, problem, np.array([1.0]))
+        (ratio,) = ratios(cert, problem, [[1.0]])
         assert np.isfinite(ratio)
         assert ratio > 0.0
 
@@ -132,30 +142,52 @@ def test_attach_distances_fills_every_iterate(ls_tiny):
     assert traj.dists.shape == traj.fs.shape
     assert traj.dists[0] == pytest.approx(1.0, abs=1e-12)
     assert traj.dists[1] == pytest.approx(0.0, abs=1e-12)
-    for k in range(traj.fs.size):
-        direct = distance_to_optimum(cert, problem.features, traj.xs[k])
-        assert traj.dists[k] == pytest.approx(direct, abs=1e-12)
+    # the optimal set is the line x_1 = 1
+    assert traj.dists == pytest.approx(np.abs(traj.xs[:, 0] - 1.0), abs=1e-12)
 
 
-def test_attach_distances_computes_one_pseudoinverse_per_problem(monkeypatch):
+@pytest.mark.parametrize("loss", [SQUARE, LOGISTIC])
+def test_attach_distances_computes_one_factorization_per_problem(monkeypatch, loss):
+    # certify and every attach share one rank_factorization of the problem
     rng = np.random.default_rng(12)
-    problem = ComposedProblem(rng.standard_normal((40, 6)), rng.standard_normal(40), SQUARE)
-    cert = certify(problem)
+    labels = rng.standard_normal(40)
+    if loss == LOGISTIC:
+        labels = np.where(labels >= 0, 1.0, -1.0)
+    problem = ComposedProblem(rng.standard_normal((40, 6)), labels, loss)
     calls = []
-    pinv = np.linalg.pinv
+    factor = optimum.rank_factorization
 
-    def counted(*args, **kwargs):
-        calls.append(args[0].shape)
-        return pinv(*args, **kwargs)
+    def counted(a):
+        calls.append(a.shape)
+        return factor(a)
 
-    monkeypatch.setattr(np.linalg, "pinv", counted)
+    monkeypatch.setattr(optimum, "rank_factorization", counted)
+    cert = certify(problem)
     model = SyntheticError(GeometricNorms(0.5, 0.8))
     trajectories = [run(problem, model, np.zeros(6), 25, seed=seed) for seed in (0, 1)]
     for traj in trajectories:
         attach_distances(cert, problem, traj)
     assert calls == [(40, 6)]
+    # the pseudoinverse oracle ||pinv(E) (E x - E x*)|| agrees to rounding
     E = problem.features
-    inline = pinv(E, rcond=RANK_CUTOFF * max(E.shape))
+    inline = np.linalg.pinv(E, rcond=RANK_CUTOFF * max(E.shape))
     for traj in trajectories:
         expected = np.linalg.norm((traj.xs @ E.T - cert.optimal_image) @ inline.T, axis=1)
-        assert np.array_equal(traj.dists, expected)
+        assert traj.dists == pytest.approx(expected, rel=1e-12, abs=1e-14)
+
+
+def test_attach_distances_peak_memory_is_independent_of_the_sample_count():
+    # one (K+1, n) by (n, r) product per trajectory: at 20000 x 5 with 35
+    # iterates a (K+1, M) array of offsets would be 5.3 MiB
+    problem = generate_least_squares(LeastSquaresSpec(20000, 5, 3, 0.1, seed=5, singular_range=(0.7, 1.0)))
+    cert = certify(problem)
+    model = SyntheticError(GeometricNorms(0.5, 0.8))
+    traj = attach_distances(cert, problem, run(problem, model, np.zeros(5), 34, seed=0))
+    tracemalloc.start()
+    try:
+        attach_distances(cert, problem, traj)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert traj.dists.shape == (35,)
+    assert peak <= 64 * 2**10, peak

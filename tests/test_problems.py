@@ -46,14 +46,9 @@ class TestSquareTiny:
         assert np.allclose(self.problem.gradient(np.zeros(2)), [-5.0, 0.0], atol=1e-14)
 
     def test_sample_gradients_at_origin(self):
-        assert np.allclose(self.problem.sample_gradient(0, np.zeros(2)), [-2.0, 0.0], atol=1e-14)
-        assert np.allclose(self.problem.sample_gradient(1, np.zeros(2)), [-8.0, 0.0], atol=1e-14)
-
-    def test_sample_gradient_index_bounds(self):
-        with pytest.raises(IndexError):
-            self.problem.sample_gradient(2, np.zeros(2))
-        with pytest.raises(IndexError):
-            self.problem.sample_gradient(-1, np.zeros(2))
+        grads = self.problem.sample_gradients(np.zeros(2))
+        assert np.allclose(grads[0], [-2.0, 0.0], atol=1e-14)
+        assert np.allclose(grads[1], [-8.0, 0.0], atol=1e-14)
 
     def test_constants(self):
         constants = self.problem.constants
@@ -80,7 +75,7 @@ class TestLogisticTiny:
         assert np.allclose(self.problem.gradient(np.zeros(1)), [0.0], atol=1e-15)
 
     def test_sample_gradient_at_origin(self):
-        assert np.allclose(self.problem.sample_gradient(0, np.zeros(1)), [-0.5], atol=1e-15)
+        assert np.allclose(self.problem.sample_gradients(np.zeros(1))[0], [-0.5], atol=1e-15)
 
     def test_constants(self):
         constants = self.problem.constants
@@ -121,7 +116,9 @@ def test_sample_gradients_average_to_gradient(loss, seed):
     assert grads.shape == (9, 4)
     assert np.allclose(grads.mean(axis=0), problem.gradient(x), atol=1e-12)
     for i in range(9):
-        assert np.allclose(grads[i], problem.sample_gradient(i, x), atol=1e-14)
+        # row i is the gradient of the one-sample problem on sample i
+        alone = ComposedProblem(problem.features[i : i + 1], problem.labels[i : i + 1], loss)
+        assert np.allclose(grads[i], alone.gradient(x), atol=1e-14)
 
 
 @pytest.mark.parametrize("loss", [SQUARE, LOGISTIC])
