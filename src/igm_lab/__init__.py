@@ -7,7 +7,7 @@ models, certifies the optimal set, and mechanically verifies the
 convergence guarantees along every trajectory.
 """
 
-from .config import DatasetSpec, ExperimentConfig, StartSpec, load_config, parse_config
+from .config import DatasetSpec, ExperimentConfig, StartSpec, parse_config
 from .datagen import (
     LeastSquaresSpec,
     LogisticSpec,
@@ -107,7 +107,6 @@ __all__ = [
     "generate_least_squares",
     "generate_logistic",
     "iterate_rate_check",
-    "load_config",
     "load_problem",
     "mu_delta_formula",
     "parse_config",

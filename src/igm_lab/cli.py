@@ -37,7 +37,7 @@ from .datagen import (
     save_problem,
 )
 from .diagnostics import RateReport, aggregate_expectation, check_ls_expected_bound, diagnose
-from .engine import DivergedError, IncrementalBatchError, Trajectory, run, run_batch
+from .engine import DivergedError, IncrementalBatchError, Trajectory, check_fits, run, run_batch
 from .optimum import CertificationError, OptimalSetCertificate, attach_distances, certify
 from .problems import SQUARE, ComposedProblem
 
@@ -139,15 +139,16 @@ def _fmt(value: float | None) -> str:
 
 def _execute(config: ExperimentConfig, out_dir: Path) -> tuple[int, dict[str, Any]]:
     """Run one config into ``out_dir``; returns (exit code, summary row)."""
-    out_dir.mkdir(parents=True, exist_ok=True)
     problem = config.build_problem()
+    check_fits(config.error_model, problem)
+    out_dir.mkdir(parents=True, exist_ok=True)
     try:
         cert = certify(problem)
     except CertificationError as exc:
         print(f"certification failed: {exc}", file=sys.stderr)
         return EXIT_CERTIFICATION, {"error": str(exc)}
     (out_dir / "certificate.json").write_text(cert.to_json() + "\n")
-    model = config.build_error_model(problem)
+    model = config.error_model
     digest = config.digest
 
     starts = [config.initial_point(problem, seed) for seed in config.seeds]
@@ -182,7 +183,7 @@ def _execute(config: ExperimentConfig, out_dir: Path) -> tuple[int, dict[str, An
             f" r2={_fmt(linear.r_squared if linear else None)}"
         )
 
-    aggregate = _aggregate_payload(config, problem, cert, model, trajectories)
+    aggregate = _aggregate_payload(config, problem, cert, trajectories)
     if aggregate is not None:
         _write_json(out_dir / "aggregate.json", aggregate)
         bound = aggregate.get("ls_expected_bound")
@@ -201,7 +202,6 @@ def _aggregate_payload(
     config: ExperimentConfig,
     problem: ComposedProblem,
     cert: OptimalSetCertificate,
-    model: Any,
     trajectories: list[Trajectory],
 ) -> dict[str, Any] | None:
     if len(trajectories) < 2:
@@ -216,6 +216,7 @@ def _aggregate_payload(
         "sublinear_fit": None if sublinear is None else {"p": sublinear.exponent, "r2": sublinear.r_squared},
         "ls_expected_bound": None,
     }
+    model = config.error_model
     stochastic_batches = isinstance(model, IncrementalBatchError) and model.selection == "uniform"
     if stochastic_batches and problem.loss == SQUARE:
         entry = check_ls_expected_bound(trajectories, problem, cert)
@@ -320,13 +321,15 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         raise UsageError("--values must list at least one value")
     base = _apply_overrides(_read_json(args.config), args.seeds, args.no_verify)
     out_root = Path(args.out or base.get("output_dir") or "igm-sweep")
-    rows = []
-    worst = EXIT_OK
+    configs = []
     for value in values:
         raw = copy.deepcopy(base)
         _set_axis(raw, args.axis, value)
         raw["output_dir"] = None
-        config = parse_config(raw)
+        configs.append(parse_config(raw))
+    rows = []
+    worst = EXIT_OK
+    for value, config in zip(values, configs):
         code, summary = _execute(config, out_root / f"{args.axis.replace('.', '_')}={value}")
         worst = max(worst, code)
         rows.append({"value": value, "exit": code, **summary})
@@ -410,9 +413,6 @@ def main(argv: list[str] | None = None) -> int:
     except CertificationError as exc:
         print(f"certification failed: {exc}", file=sys.stderr)
         return EXIT_CERTIFICATION
-    except DivergedError as exc:
-        print(f"run diverged at iteration {exc.iteration}", file=sys.stderr)
-        return EXIT_VERIFICATION
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -2,9 +2,10 @@
 
 A config document describes one experiment: the problem (generator recipe
 or dataset file), the gradient-error model, the starting point, iteration
-and seed counts, and verification knobs. Parsing is eager about structure
-(unknown keys and missing fields fail fast with a path to the offending
-entry); numeric-range enforcement lives with the objects themselves.
+and seed counts, and verification knobs. Parsing checks every key (unknown
+keys, missing fields and wrong types fail fast with a path to the offending
+entry) and builds the error model, whose objects enforce their own numeric
+ranges; the checks that need the problem wait for ``engine.check_fits``.
 """
 
 from __future__ import annotations
@@ -12,7 +13,6 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Any
 
 import numpy as np
@@ -25,6 +25,7 @@ from .datagen import (
     load_problem,
 )
 from .engine import (
+    ErrorModel,
     ExplicitSchedule,
     GeometricNorms,
     GeometricResidualSchedule,
@@ -150,25 +151,60 @@ def _problem_loss(spec: LeastSquaresSpec | LogisticSpec | DatasetSpec) -> str:
     return spec.loss
 
 
-def _check_error_model(raw: Any) -> dict[str, Any]:
+# kind -> the class a norm or batch-size rule builds, and the config keys
+# of its arguments in order
+_NORM_RULES = {"geometric": (GeometricNorms, ("scale", "ratio")), "polynomial": (PolynomialNorms, ("scale", "power"))}
+_SCHEDULE_RULES = {
+    "geometric": (GeometricResidualSchedule, ("initial", "ratio")),
+    "polynomial": (PolynomialResidualSchedule, ("initial", "power")),
+    "explicit": (ExplicitSchedule, ("sizes",)),
+}
+
+
+def _list(raw: dict[str, Any], where: str, key: str, kinds: type | tuple[type, ...]) -> list:
+    value = raw.get(key)
+    if not (isinstance(value, list) and all(isinstance(v, kinds) and not isinstance(v, bool) for v in value)):
+        raise ValueError(f"{where}.{key}: expected a list of {'integers' if kinds is int else 'numbers'}")
+    return value
+
+
+def _build(where: str, cls: type, *args: Any) -> Any:
+    """``cls(*args)``; a range check that fails names the config path ``where``."""
+    try:
+        return cls(*args)
+    except ValueError as exc:
+        raise ValueError(f"{where}: {exc}") from None
+
+
+def _rule(raw: Any, where: str, rules: dict[str, tuple[type, tuple[str, ...]]]) -> Any:
+    raw = _mapping(raw, where)
+    kind = _string(raw, where, "kind", tuple(rules))
+    cls, keys = rules[kind]
+    _known_keys(raw, where, {"kind", *keys})
+    if kind == "explicit":
+        return _build(where, cls, tuple(_list(raw, where, "sizes", int)))
+    return _build(where, cls, *(_number(raw, where, key) for key in keys))
+
+
+def parse_error_model(raw: Any) -> ErrorModel:
+    """The error model ``raw`` names, every key checked. Whether it fits the
+    problem (direction length, explicit sizes up to M) is ``check_fits``'s."""
     raw = _mapping(raw, "error_model")
     kind = _string(raw, "error_model", "kind", ("zero", "synthetic", "batch"))
     if kind == "zero":
         _known_keys(raw, "error_model", {"kind"})
-    elif kind == "synthetic":
+        return ZeroError()
+    if kind == "synthetic":
         _known_keys(raw, "error_model", {"kind", "norms", "direction"})
-        norms = _mapping(raw.get("norms"), "error_model.norms")
-        _string(norms, "error_model.norms", "kind", ("geometric", "polynomial"))
-        direction = raw.get("direction")
-        if direction is not None and not isinstance(direction, list):
-            raise ValueError("error_model.direction: expected a list of numbers")
-    else:
-        _known_keys(raw, "error_model", {"kind", "schedule", "selection"})
-        schedule = _mapping(raw.get("schedule"), "error_model.schedule")
-        _string(schedule, "error_model.schedule", "kind", ("geometric", "polynomial", "explicit"))
-        if "selection" in raw:
-            _string(raw, "error_model", "selection", ("prefix", "uniform"))
-    return raw
+        norms = _rule(raw.get("norms"), "error_model.norms", _NORM_RULES)
+        if raw.get("direction") is None:
+            return SyntheticError(norms)
+        direction = np.asarray(_list(raw, "error_model", "direction", (int, float)), dtype=float)
+        return _build("error_model.direction", SyntheticError, norms, direction)
+    _known_keys(raw, "error_model", {"kind", "schedule", "selection"})
+    schedule = _rule(raw.get("schedule"), "error_model.schedule", _SCHEDULE_RULES)
+    selection = _string(raw, "error_model", "selection", ("prefix", "uniform")) if "selection" in raw else "prefix"
+    return IncrementalBatchError(schedule, selection)
 
 
 def parse_start(raw: Any) -> StartSpec:
@@ -201,7 +237,7 @@ class ExperimentConfig:
     """One parsed experiment document, plus the raw form that named it."""
 
     problem_spec: LeastSquaresSpec | LogisticSpec | DatasetSpec
-    error_spec: dict[str, Any]
+    error_model: ErrorModel
     start: StartSpec
     iterations: int
     seeds: tuple[int, ...]
@@ -224,33 +260,6 @@ class ExperimentConfig:
             return generate_logistic(spec)
         return load_problem(spec.path, spec.loss)
 
-    def build_error_model(self, problem: ComposedProblem):
-        raw = self.error_spec
-        kind = raw["kind"]
-        if kind == "zero":
-            return ZeroError()
-        if kind == "synthetic":
-            norms_raw = raw["norms"]
-            if norms_raw["kind"] == "geometric":
-                norms = GeometricNorms(scale=norms_raw["scale"], ratio=norms_raw["ratio"])
-            else:
-                norms = PolynomialNorms(scale=norms_raw["scale"], power=norms_raw["power"])
-            direction = raw.get("direction")
-            return SyntheticError(norms, None if direction is None else np.asarray(direction, dtype=float))
-        schedule_raw = raw["schedule"]
-        total = problem.n_samples
-        if schedule_raw["kind"] == "geometric":
-            schedule = GeometricResidualSchedule(
-                initial=schedule_raw["initial"], ratio=schedule_raw["ratio"], total=total
-            )
-        elif schedule_raw["kind"] == "polynomial":
-            schedule = PolynomialResidualSchedule(
-                initial=schedule_raw["initial"], power=schedule_raw["power"], total=total
-            )
-        else:
-            schedule = ExplicitSchedule(sizes=tuple(schedule_raw["sizes"]), total=total)
-        return IncrementalBatchError(schedule, selection=raw.get("selection", "prefix"))
-
     def initial_point(self, problem: ComposedProblem, seed: int) -> np.ndarray:
         return self.start.build(problem.n_features, seed)
 
@@ -272,7 +281,7 @@ def parse_config(raw: Any) -> ExperimentConfig:
         },
     )
     problem_spec = parse_problem(raw.get("problem"))
-    error_spec = _check_error_model(raw.get("error_model"))
+    error_model = parse_error_model(raw.get("error_model"))
     start = parse_start(raw["start"]) if "start" in raw else StartSpec("zeros")
     if "iterations" in raw:
         iterations = _integer(raw, "config", "iterations")
@@ -303,7 +312,7 @@ def parse_config(raw: Any) -> ExperimentConfig:
         raise ValueError("config.tail_fraction: must lie in (0, 1]")
     return ExperimentConfig(
         problem_spec=problem_spec,
-        error_spec=error_spec,
+        error_model=error_model,
         start=start,
         iterations=iterations,
         seeds=seeds,
@@ -314,11 +323,3 @@ def parse_config(raw: Any) -> ExperimentConfig:
         raw=raw,
     )
 
-
-def load_config(path: str | Path) -> ExperimentConfig:
-    with Path(path).open() as handle:
-        try:
-            raw = json.load(handle)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{path}: invalid JSON ({exc})") from None
-    return parse_config(raw)

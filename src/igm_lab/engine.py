@@ -101,7 +101,8 @@ class PolynomialNorms:
 
 
 # ---------------------------------------------------------------------------
-# batch-size schedules (incremental model)
+# batch-size schedules (incremental model): size_at(k, m) is the batch
+# size at 0-based step k of a problem with m samples
 
 
 @dataclass(frozen=True)
@@ -110,18 +111,15 @@ class GeometricResidualSchedule:
 
     initial: float
     ratio: float
-    total: int
 
     def __post_init__(self):
         if not 0.0 < self.initial < 1.0:
             raise ValueError("initial residual fraction must lie in (0, 1)")
         if not 0.0 < self.ratio < 1.0:
             raise ValueError("ratio must lie in (0, 1)")
-        if self.total < 1:
-            raise ValueError("total must be at least 1")
 
-    def size_at(self, k: int) -> int:
-        return min(self.total, math.ceil(self.total * (1.0 - self.initial * self.ratio**k)))
+    def size_at(self, k: int, m: int) -> int:
+        return min(m, math.ceil(m * (1.0 - self.initial * self.ratio**k)))
 
 
 @dataclass(frozen=True)
@@ -130,42 +128,39 @@ class PolynomialResidualSchedule:
 
     initial: float
     power: float
-    total: int
 
     def __post_init__(self):
         if not 0.0 < self.initial < 1.0:
             raise ValueError("initial residual fraction must lie in (0, 1)")
         if self.power <= 0:
             raise ValueError("power must be positive")
-        if self.total < 1:
-            raise ValueError("total must be at least 1")
 
-    def size_at(self, k: int) -> int:
+    def size_at(self, k: int, m: int) -> int:
         try:
             target = self.initial / (k + 1) ** (1.0 + self.power)
         except OverflowError:  # (k+1)**(1 + power) beyond the float range: a full batch
-            return self.total
-        return min(self.total, math.ceil(self.total * (1.0 - target)))
+            return m
+        return min(m, math.ceil(m * (1.0 - target)))
 
 
 @dataclass(frozen=True)
 class ExplicitSchedule:
-    """A hand-picked nondecreasing size sequence; the last size repeats."""
+    """A hand-picked nondecreasing size sequence; the last size repeats.
+    ``check_fits`` holds the sizes to at most the problem's M."""
 
     sizes: tuple[int, ...]
-    total: int
 
     def __post_init__(self):
         sizes = tuple(int(s) for s in self.sizes)
         if not sizes:
             raise ValueError("sizes must be nonempty")
-        if any(not 1 <= s <= self.total for s in sizes):
-            raise ValueError(f"sizes must lie in [1, {self.total}]")
+        if any(s < 1 for s in sizes):
+            raise ValueError("sizes must be at least 1")
         if any(a > b for a, b in zip(sizes, sizes[1:])):
             raise ValueError("sizes must be nondecreasing")
         object.__setattr__(self, "sizes", sizes)
 
-    def size_at(self, k: int) -> int:
+    def size_at(self, k: int, m: int) -> int:
         return self.sizes[min(k, len(self.sizes) - 1)]
 
 
@@ -178,8 +173,7 @@ BatchSchedule = GeometricResidualSchedule | PolynomialResidualSchedule | Explici
 
 @dataclass(frozen=True)
 class ZeroError:
-    def describe(self) -> str:
-        return "zero"
+    """Exact gradients."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -198,11 +192,6 @@ class SyntheticError:
                 raise ValueError("direction must be a finite nonzero vector")
             object.__setattr__(self, "direction", d / norm)
 
-    def describe(self) -> str:
-        kind = "geometric" if isinstance(self.norms, GeometricNorms) else "polynomial"
-        how = "random" if self.direction is None else "fixed"
-        return f"{kind}({self.norms}, direction={how})"
-
 
 @dataclass(frozen=True)
 class IncrementalBatchError:
@@ -215,21 +204,19 @@ class IncrementalBatchError:
         if self.selection not in ("prefix", "uniform"):
             raise ValueError("selection must be 'prefix' or 'uniform'")
 
-    def describe(self) -> str:
-        return f"batch({self.schedule}, selection={self.selection})"
-
 
 ErrorModel = ZeroError | SyntheticError | IncrementalBatchError
 
 
-def _check_fits(model: ErrorModel, problem: ComposedProblem) -> None:
-    """Reject a model whose shape does not match the problem's."""
+def check_fits(model: ErrorModel, problem: ComposedProblem) -> None:
+    """Reject a model whose shape does not match the problem's: a fixed
+    direction of another length than n, or an explicit batch size above M."""
     direction = getattr(model, "direction", None)
     if direction is not None and direction.shape != (problem.n_features,):
         raise ValueError(f"direction length {direction.size} does not match {problem.n_features} features")
     schedule = getattr(model, "schedule", None)
-    if schedule is not None and schedule.total != problem.n_samples:
-        raise ValueError(f"batch schedule total {schedule.total} does not match {problem.n_samples} samples")
+    if isinstance(schedule, ExplicitSchedule) and max(schedule.sizes) > problem.n_samples:
+        raise ValueError(f"sizes must lie in [1, {problem.n_samples}]")
 
 
 def _forms_agree(a: np.ndarray, b: np.ndarray) -> bool:
@@ -304,8 +291,8 @@ def _draw_error(
         errors = np.empty((1, 1, problem.n_features))
         _fill_errors(model, errors, k, [rng])
         return errors[0, 0], None
-    size = model.schedule.size_at(k - 1)
     m = problem.n_samples
+    size = model.schedule.size_at(k - 1, m)
     if model.selection == "prefix":
         left_out = np.arange(size, m)
     else:
@@ -349,8 +336,6 @@ class Trajectory:
     step_norms: np.ndarray
     batch_sizes: np.ndarray | None
     seed: int
-    problem_digest: str
-    model_label: str
     dists: np.ndarray | None = field(default=None)
 
     @property
@@ -401,7 +386,7 @@ def run_batch(problem: ComposedProblem, model: ErrorModel, starts, iterations: i
     x = np.array(starts, dtype=float)
     if x.shape != (S, n):
         raise ValueError(f"starts must have shape ({S}, {n}), one row per seed")
-    _check_fits(model, problem)
+    check_fits(model, problem)
     rngs = [np.random.default_rng(seed) for seed in seeds]
     L = problem.constants.composed
     xs = np.empty((S, K + 1, n))
@@ -440,6 +425,5 @@ def run_batch(problem: ComposedProblem, model: ErrorModel, starts, iterations: i
         step_norms[:, k] = np.sqrt(_dots(step))
         x = x - step
 
-    label = model.describe()
-    return [Trajectory(xs[i], fs[i], grad_norms[i], errors[i], err_norms[i], step_norms[i], batch_sizes[i],
-                       seed, problem.digest, label) for i, seed in enumerate(seeds)]
+    return [Trajectory(xs[i], fs[i], grad_norms[i], errors[i], err_norms[i], step_norms[i], batch_sizes[i], seed)
+            for i, seed in enumerate(seeds)]

@@ -88,33 +88,33 @@ def battery() -> list[BatteryRun]:
     def polynomial() -> SyntheticError:
         return SyntheticError(PolynomialNorms(1.0, 1.0))
 
-    def prefix(problem: ComposedProblem, ratio: float = 0.8) -> IncrementalBatchError:
-        schedule = GeometricResidualSchedule(0.5, ratio, problem.n_samples)
+    def prefix(ratio: float = 0.8) -> IncrementalBatchError:
+        schedule = GeometricResidualSchedule(0.5, ratio)
         return IncrementalBatchError(schedule, selection="prefix")
 
-    def uniform(problem: ComposedProblem, ratio: float = 0.8) -> IncrementalBatchError:
-        schedule = GeometricResidualSchedule(0.5, ratio, problem.n_samples)
+    def uniform(ratio: float = 0.8) -> IncrementalBatchError:
+        schedule = GeometricResidualSchedule(0.5, ratio)
         return IncrementalBatchError(schedule, selection="uniform")
 
     configs = [
         ("p1-zero", p1, ZeroError(), 500, 0),
         ("p1-geometric", p1, geometric(), 500, 0),
         ("p1-polynomial", p1, polynomial(), 1200, 0),
-        ("p1-prefix", p1, prefix(p1), 500, 0),
-        ("p1-uniform", p1, uniform(p1), 500, 0),
+        ("p1-prefix", p1, prefix(), 500, 0),
+        ("p1-uniform", p1, uniform(), 500, 0),
         ("p2-zero", p2, ZeroError(), 500, 0),
         ("p2-geometric", p2, geometric(), 500, 0),
         ("p2-polynomial", p2, polynomial(), 1200, 0),
-        ("p2-prefix", p2, prefix(p2), 500, 0),
-        ("p2-uniform", p2, uniform(p2), 500, 0),
+        ("p2-prefix", p2, prefix(), 500, 0),
+        ("p2-uniform", p2, uniform(), 500, 0),
         ("p3-zero", p3, ZeroError(), 500, 0),
         ("p3-geometric", p3, geometric(), 800, 0),
         ("p3-polynomial", p3, polynomial(), 1500, 0),
-        ("p3-prefix", p3, prefix(p3, 0.9), 800, 0),
-        ("p3-uniform", p3, uniform(p3, 0.9), 800, 0),
+        ("p3-prefix", p3, prefix(0.9), 800, 0),
+        ("p3-uniform", p3, uniform(0.9), 800, 0),
         ("p1-geometric-fixed", p1, SyntheticError(GeometricNorms(1.0, 0.9), fixed_dir), 500, 0),
-        ("p1-uniform-seed1", p1, uniform(p1), 500, 1),
-        ("p2-poly-prefix", p2, IncrementalBatchError(PolynomialResidualSchedule(0.5, 1.0, 40), selection="prefix"), 1200, 0),
+        ("p1-uniform-seed1", p1, uniform(), 500, 1),
+        ("p2-poly-prefix", p2, IncrementalBatchError(PolynomialResidualSchedule(0.5, 1.0), selection="prefix"), 1200, 0),
         ("p3-zero-long", p3, ZeroError(), 5000, 0),
         ("p3-geometric-small", p3, SyntheticError(GeometricNorms(0.01, 0.9)), 800, 0),
     ]

@@ -166,7 +166,7 @@ def test_criterion_06_mu_delta_recursion(battery):
 def test_criterion_07_growing_batch_least_squares():
     problem = lab.generate_least_squares(lab.LeastSquaresSpec(200, 10, 4, 0.1, seed=2))
     cert = lab.certify(problem)
-    schedule = lab.GeometricResidualSchedule(0.5, 0.8, 200)
+    schedule = lab.GeometricResidualSchedule(0.5, 0.8)
     traj = lab.run(problem, lab.IncrementalBatchError(schedule), np.zeros(10), 500, seed=0)
     half_full = bool(np.all(2 * traj.batch_sizes >= 200))
     census = lab.check_ls_error_bound(traj, problem)
@@ -183,7 +183,7 @@ def test_criterion_07_growing_batch_least_squares():
 def test_criterion_08_growing_batch_logistic():
     problem = lab.generate_logistic(lab.LogisticSpec(100, 5, 0.1, seed=3))
     cert = lab.certify(problem)
-    schedule = lab.GeometricResidualSchedule(0.5, 0.9, 100)
+    schedule = lab.GeometricResidualSchedule(0.5, 0.9)
     traj = lab.run(problem, lab.IncrementalBatchError(schedule), np.zeros(5), 400, seed=0)
     census = lab.check_logistic_error_bound(traj, problem)
     gaps = traj.gaps(cert.f_min)
@@ -218,7 +218,7 @@ def test_criterion_09_sampling_variance_identity():
 
     big = lab.generate_least_squares(lab.LeastSquaresSpec(200, 6, 4, 0.1, seed=6))
     x = np.random.default_rng(31).standard_normal(6)
-    model = lab.IncrementalBatchError(lab.ExplicitSchedule((60,), 200), selection="uniform")
+    model = lab.IncrementalBatchError(lab.ExplicitSchedule((60,)), selection="uniform")
     draw_rng = np.random.default_rng(32)
     _, slopes, g = big.evaluate(x)
     samples = np.array(
@@ -248,11 +248,11 @@ def test_criterion_10_expected_rates_over_seeds():
         model = lab.IncrementalBatchError(schedule, selection="uniform")
         return lab.run_batch(problem, model, np.zeros((100, 5)), iterations, range(100))
 
-    geo_runs = mean_runs(lab.GeometricResidualSchedule(0.9, 0.8, 20000), 34)
+    geo_runs = mean_runs(lab.GeometricResidualSchedule(0.9, 0.8), 34)
     geo = lab.aggregate_expectation(geo_runs, cert)
     bound = lab.check_ls_expected_bound(geo_runs, problem, cert)
 
-    poly_runs = mean_runs(lab.PolynomialResidualSchedule(0.9, 1.0, 20000), 40)
+    poly_runs = mean_runs(lab.PolynomialResidualSchedule(0.9, 1.0), 40)
     poly = lab.aggregate_expectation(poly_runs, cert)
 
     ok = (

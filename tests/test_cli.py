@@ -274,6 +274,43 @@ class TestUsageErrors:
         config.write_text(json.dumps(raw))
         assert main(["run", "--config", str(config), "--out", str(tmp_path / "out")]) == 1
 
+    @pytest.mark.parametrize("error_model, message", [
+        ({"kind": "synthetic", "norms": {"kind": "geometric", "ratio": 0.9}}, "error_model.norms.scale: required"),
+        ({"kind": "batch", "schedule": {"kind": "geometric", "initial": 0.5, "ratio": "x"}},
+         "error_model.schedule.ratio: expected a number"),
+        ({"kind": "synthetic", "norms": {"kind": "geometric", "scale": 1.0, "ratio": 0.9, "rate": 2}},
+         "error_model.norms: unknown keys ['rate']"),
+        ({"kind": "batch", "schedule": {"kind": "geometric", "initial": 0.5, "ratio": 0.8, "total": 2}},
+         "error_model.schedule: unknown keys ['total']"),
+        ({"kind": "synthetic", "norms": {"kind": "geometric", "scale": 1.0, "ratio": 1.5}},
+         "error_model.norms: ratio must lie in (0, 1)"),
+        ({"kind": "synthetic", "norms": {"kind": "geometric", "scale": 1.0, "ratio": 0.5}, "direction": [1, 0, 0]},
+         "direction length 3 does not match 2 features"),
+        ({"kind": "batch", "schedule": {"kind": "explicit", "sizes": [1, 3]}}, "sizes must lie in [1, 2]"),
+        ({"kind": "synthetic", "norms": {"kind": "geometric", "scale": 1.0, "ratio": 0.5}, "direction": "up"},
+         "error_model.direction: expected a list of numbers"),
+        ({"kind": "synthetic", "norms": {"kind": "geometric", "scale": 1.0, "ratio": 0.5}, "direction": [0, 0]},
+         "error_model.direction: direction must be a finite nonzero vector"),
+        ({"kind": "batch", "schedule": {"kind": "explicit", "sizes": [1, 1.5]}},
+         "error_model.schedule.sizes: expected a list of integers"),
+        ({"kind": "batch", "schedule": {"kind": "explicit", "sizes": [2, 1]}},
+         "error_model.schedule: sizes must be nondecreasing"),
+        ({"kind": "batch", "schedule": {"kind": "linear", "initial": 0.5}},
+         "error_model.schedule.kind: expected one of ('geometric', 'polynomial', 'explicit')"),
+    ], ids=["norms-no-scale", "ratio-string", "norms-unknown-key", "schedule-unknown-key", "ratio-above-one",
+            "direction-length", "size-above-m", "direction-not-a-list", "direction-zero", "sizes-not-integers",
+            "sizes-decreasing", "schedule-kind"])
+    def test_bad_error_model_fails_before_certification(self, tiny_setup, capsys, error_model, message):
+        raw, config, tmp_path = tiny_setup
+        raw["error_model"] = error_model
+        config.write_text(json.dumps(raw))
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(config), "--out", str(out)]) == 1
+        stdout, stderr = capsys.readouterr()
+        assert stderr == f"error: {message}\n"
+        assert stdout == ""
+        assert not out.exists()
+
     def test_missing_subcommand(self):
         assert main([]) == 1
 
@@ -321,6 +358,16 @@ class TestSweepCommand:
             ["sweep", "--config", str(config), "--axis", "no.such.path", "--values", "1,2"]
         )
         assert code == 1
+
+    def test_every_value_is_parsed_before_the_first_run(self, tiny_setup, capsys):
+        raw, config, tmp_path = tiny_setup
+        raw["error_model"] = {"kind": "synthetic", "norms": {"kind": "geometric", "scale": 1.0, "ratio": 0.8}}
+        config.write_text(json.dumps(raw))
+        out = tmp_path / "sweep"
+        argv = ["sweep", "--config", str(config), "--axis", "error_model.norms.ratio", "--values", "0.5,1.5"]
+        assert main([*argv, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: error_model.norms: ratio must lie in (0, 1)\n"
+        assert not out.exists()
 
     def test_empty_values_are_a_usage_error(self, tiny_setup):
         raw, config, tmp_path = tiny_setup
@@ -430,8 +477,6 @@ def odd_trajectory(steps, with_dists, batched):
         step_norms=column(steps),
         batch_sizes=rng.integers(1, 10**6, steps) if batched else None,
         seed=0,
-        problem_digest="",
-        model_label="",
         dists=column(steps + 1) if with_dists else None,
     )
 

@@ -2,12 +2,16 @@
 
 import copy
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from igm_lab import (
     DatasetSpec,
+    ExplicitSchedule,
+    GeometricNorms,
     GeometricResidualSchedule,
     IncrementalBatchError,
     LeastSquaresSpec,
@@ -16,7 +20,6 @@ from igm_lab import (
     SyntheticError,
     ZeroError,
     generate_least_squares,
-    load_config,
     parse_config,
     save_problem,
 )
@@ -129,28 +132,27 @@ def test_error_model_structure_is_checked():
 
 def test_build_error_model_constructs_engine_objects():
     raw = base_config()
-    config = parse_config(raw)
-    problem = config.build_problem()
-    assert isinstance(config.build_error_model(problem), ZeroError)
+    assert isinstance(parse_config(raw).error_model, ZeroError)
 
     raw["error_model"] = {"kind": "synthetic", "norms": {"kind": "geometric", "scale": 1.0, "ratio": 0.9}}
-    config = parse_config(raw)
-    model = config.build_error_model(problem)
+    model = parse_config(raw).error_model
     assert isinstance(model, SyntheticError)
-    assert model.norms.ratio == 0.9
+    assert model.norms == GeometricNorms(1.0, 0.9)
+    assert model.direction is None
+
+    raw["error_model"]["direction"] = [3, 4, 0]
+    assert parse_config(raw).error_model.direction.tolist() == [0.6, 0.8, 0.0]
 
     raw["error_model"] = {
         "kind": "batch",
         "schedule": {"kind": "geometric", "initial": 0.5, "ratio": 0.8},
         "selection": "uniform",
     }
-    config = parse_config(raw)
-    model = config.build_error_model(problem)
-    assert isinstance(model, IncrementalBatchError)
-    assert isinstance(model.schedule, GeometricResidualSchedule)
-    # the schedule picks up the sample count from the problem
-    assert model.schedule.total == problem.n_samples
-    assert model.selection == "uniform"
+    model = parse_config(raw).error_model
+    assert model == IncrementalBatchError(GeometricResidualSchedule(0.5, 0.8), selection="uniform")
+
+    raw["error_model"] = {"kind": "batch", "schedule": {"kind": "explicit", "sizes": [2, 5, 5]}}
+    assert parse_config(raw).error_model == IncrementalBatchError(ExplicitSchedule((2, 5, 5)), selection="prefix")
 
 
 def test_build_problem_from_generator_and_dataset(tmp_path):
@@ -202,12 +204,15 @@ def test_digest_ignores_key_order_but_tracks_content():
 def test_load_config_round_trip(tmp_path):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(base_config()))
-    config = load_config(path)
+    config = parse_config(json.loads(path.read_text()))
     assert config.iterations == 20
+    assert config.digest == parse_config(base_config()).digest
 
 
-def test_load_config_rejects_bad_json(tmp_path):
-    path = tmp_path / "broken.json"
-    path.write_text("{not json")
-    with pytest.raises(ValueError):
-        load_config(path)
+def test_readme_config_example_parses():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    blocks = re.findall(r"```json\n(.*?)```", readme, re.S)
+    assert len(blocks) == 1
+    model = parse_config(json.loads(blocks[0])).error_model
+    assert isinstance(model, SyntheticError)
+    assert model.norms == GeometricNorms(1.0, 0.9)

@@ -50,8 +50,6 @@ def crafted_trajectory(fs, err_norms=None, step_norms=None, dists=None):
         step_norms=np.ones(steps) if step_norms is None else np.asarray(step_norms, dtype=float),
         batch_sizes=None,
         seed=0,
-        problem_digest="crafted",
-        model_label="crafted",
         dists=None if dists is None else np.asarray(dists, dtype=float),
     )
 
@@ -256,7 +254,7 @@ class TestErrorBoundRatios:
     def test_tau_is_stable_across_sampling_seeds(self):
         problem = generate_least_squares(LeastSquaresSpec(50, 20, 5, 0.1, seed=11))
         cert = certify(problem)
-        schedule = GeometricResidualSchedule(0.5, 0.8, 50)
+        schedule = GeometricResidualSchedule(0.5, 0.8)
         model = IncrementalBatchError(schedule, selection="uniform")
         taus = []
         for seed in range(10):
@@ -310,7 +308,7 @@ class TestIterateEnvelope:
 class TestBatchBounds:
     def test_ls_bound_holds_on_a_prefix_run(self):
         problem = generate_least_squares(LeastSquaresSpec(40, 6, 4, 0.1, seed=3))
-        schedule = GeometricResidualSchedule(0.5, 0.8, 40)
+        schedule = GeometricResidualSchedule(0.5, 0.8)
         traj = run(problem, IncrementalBatchError(schedule), np.zeros(6), 60, seed=0)
         entry = check_ls_error_bound(traj, problem)
         assert entry.violations == 0
@@ -318,7 +316,7 @@ class TestBatchBounds:
 
     def test_ls_bound_checks_only_large_batches(self):
         problem = generate_least_squares(LeastSquaresSpec(40, 6, 4, 0.1, seed=3))
-        schedule = GeometricResidualSchedule(0.9, 0.9, 40)
+        schedule = GeometricResidualSchedule(0.9, 0.9)
         traj = run(problem, IncrementalBatchError(schedule), np.zeros(6), 30, seed=0)
         entry = check_ls_error_bound(traj, problem)
         small = np.sum(2 * traj.batch_sizes < 40)
@@ -344,7 +342,7 @@ class TestBatchBounds:
         problem = generate_least_squares(LeastSquaresSpec(30, 5, 3, 0.1, seed=4))
         cert = certify(problem)
         uniform = lambda ratio: IncrementalBatchError(
-            GeometricResidualSchedule(0.5, ratio, 30), selection="uniform"
+            GeometricResidualSchedule(0.5, ratio), selection="uniform"
         )
         a = run(problem, uniform(0.8), np.zeros(5), 20, seed=0)
         b = run(problem, uniform(0.8), np.zeros(5), 20, seed=1)
@@ -399,7 +397,7 @@ class TestDiagnose:
     def test_batch_run_report_includes_the_loss_bound(self):
         problem = generate_least_squares(LeastSquaresSpec(40, 6, 4, 0.1, seed=3))
         cert = certify(problem)
-        schedule = GeometricResidualSchedule(0.5, 0.8, 40)
+        schedule = GeometricResidualSchedule(0.5, 0.8)
         traj = run(problem, IncrementalBatchError(schedule), np.zeros(6), 60, seed=0)
         attach_distances(cert, problem, traj)
         report = diagnose(problem, cert, traj)

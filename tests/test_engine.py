@@ -81,66 +81,68 @@ class TestNormSchedules:
 
 class TestBatchSchedules:
     def test_geometric_residual_sizes(self):
-        schedule = GeometricResidualSchedule(0.5, 0.5, 100)
-        assert [schedule.size_at(k) for k in range(3)] == [50, 75, 88]
-        assert schedule.size_at(10_000) == 100
+        schedule = GeometricResidualSchedule(0.5, 0.5)
+        assert [schedule.size_at(k, 100) for k in range(3)] == [50, 75, 88]
+        assert schedule.size_at(10_000, 100) == 100
 
     def test_geometric_residual_meets_target(self):
-        schedule = GeometricResidualSchedule(0.3, 0.8, 77)
+        schedule = GeometricResidualSchedule(0.3, 0.8)
         for k in range(60):
-            left_out = (77 - schedule.size_at(k)) / 77
+            left_out = (77 - schedule.size_at(k, 77)) / 77
             assert left_out <= 0.3 * 0.8**k + 1e-12
 
     def test_polynomial_residual_sizes(self):
-        schedule = PolynomialResidualSchedule(0.5, 1.0, 40)
-        assert schedule.size_at(0) == 20
-        assert schedule.size_at(1) == 35
-        assert schedule.size_at(9) == 40
+        schedule = PolynomialResidualSchedule(0.5, 1.0)
+        assert schedule.size_at(0, 40) == 20
+        assert schedule.size_at(1, 40) == 35
+        assert schedule.size_at(9, 40) == 40
         for k in range(30):
-            left_out = (40 - schedule.size_at(k)) / 40
+            left_out = (40 - schedule.size_at(k, 40)) / 40
             assert left_out <= 0.5 / (k + 1) ** 2 + 1e-12
 
     def test_polynomial_residual_overflow_gives_a_full_batch(self):
         # (k+1)**(1 + power) overflows a float from k = 1 on; the left-out
         # fraction takes its limit 0, and sizes that do not overflow keep
         # their value
-        schedule = PolynomialResidualSchedule(0.5, 2000.0, 40)
-        assert [schedule.size_at(k) for k in (0, 1, 2, 10**6)] == [20, 40, 40, 40]
-        near = PolynomialResidualSchedule(0.5, 1000.0, 40)
-        assert near.size_at(1) == min(40, math.ceil(40 * (1.0 - 0.5 / 2 ** 1001.0)))
+        schedule = PolynomialResidualSchedule(0.5, 2000.0)
+        assert [schedule.size_at(k, 40) for k in (0, 1, 2, 10**6)] == [20, 40, 40, 40]
+        near = PolynomialResidualSchedule(0.5, 1000.0)
+        assert near.size_at(1, 40) == min(40, math.ceil(40 * (1.0 - 0.5 / 2 ** 1001.0)))
 
     def test_sizes_are_nondecreasing(self):
         for schedule in (
-            GeometricResidualSchedule(0.9, 0.7, 53),
-            PolynomialResidualSchedule(0.9, 0.5, 53),
-            ExplicitSchedule((1, 4, 9, 53), 53),
+            GeometricResidualSchedule(0.9, 0.7),
+            PolynomialResidualSchedule(0.9, 0.5),
+            ExplicitSchedule((1, 4, 9, 53)),
         ):
-            sizes = [schedule.size_at(k) for k in range(200)]
+            sizes = [schedule.size_at(k, 53) for k in range(200)]
             assert all(a <= b for a, b in zip(sizes, sizes[1:]))
             assert all(1 <= s <= 53 for s in sizes)
             assert sizes[-1] == 53
 
     def test_explicit_schedule_repeats_last_size(self):
-        schedule = ExplicitSchedule((10, 20, 40), 100)
-        assert schedule.size_at(1) == 20
-        assert schedule.size_at(2) == 40
-        assert schedule.size_at(5) == 40
+        schedule = ExplicitSchedule((10, 20, 40))
+        assert schedule.size_at(1, 100) == 20
+        assert schedule.size_at(2, 100) == 40
+        assert schedule.size_at(5, 100) == 40
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            GeometricResidualSchedule(0.0, 0.5, 10)
+            GeometricResidualSchedule(0.0, 0.5)
         with pytest.raises(ValueError):
-            GeometricResidualSchedule(1.0, 0.5, 10)
+            GeometricResidualSchedule(1.0, 0.5)
         with pytest.raises(ValueError):
-            PolynomialResidualSchedule(0.5, 0.0, 10)
+            PolynomialResidualSchedule(0.5, 0.0)
         with pytest.raises(ValueError):
-            ExplicitSchedule((), 10)
+            ExplicitSchedule(())
         with pytest.raises(ValueError):
-            ExplicitSchedule((3, 2), 10)
+            ExplicitSchedule((3, 2))
         with pytest.raises(ValueError):
-            ExplicitSchedule((0, 5), 10)
-        with pytest.raises(ValueError):
-            ExplicitSchedule((5, 11), 10)
+            ExplicitSchedule((0, 5))
+        # the upper bound is the problem's M, so it is checked when a run starts
+        model = IncrementalBatchError(ExplicitSchedule((5, 11)))
+        with pytest.raises(ValueError, match=r"sizes must lie in \[1, 10\]"):
+            run(random_square_problem(0, samples=10), model, np.zeros(3), 1)
 
 
 def draw_error(model, problem, x, k, rng):
@@ -183,7 +185,7 @@ class TestMakeError:
     def test_two_sample_batch_error_closed_form(self):
         problem = tiny_problem()
         x = np.array([0.3, -0.2])
-        model = IncrementalBatchError(ExplicitSchedule((1,), 2), selection="prefix")
+        model = IncrementalBatchError(ExplicitSchedule((1,)), selection="prefix")
         e = draw_error(model, problem, x, 1, np.random.default_rng(0))
         g0, g1 = problem.sample_gradients(x)
         assert np.allclose(e, (g0 - g1) / 2.0, atol=1e-14)
@@ -192,7 +194,7 @@ class TestMakeError:
         # batch mean of per-sample gradients equals gradient + error
         problem = random_square_problem(3, samples=7, features=4)
         x = np.random.default_rng(9).standard_normal(4)
-        model = IncrementalBatchError(ExplicitSchedule((3,), 7), selection="prefix")
+        model = IncrementalBatchError(ExplicitSchedule((3,)), selection="prefix")
         e = draw_error(model, problem, x, 1, np.random.default_rng(0))
         batch_mean = problem.sample_gradients(x)[:3].mean(axis=0)
         assert np.allclose(problem.gradient(x) + e, batch_mean, atol=1e-12)
@@ -202,7 +204,7 @@ class TestMakeError:
         # to rounding, when the batch covers every sample
         problem = random_square_problem(5, samples=11, features=3)
         x = np.random.default_rng(2).standard_normal(3)
-        model = IncrementalBatchError(ExplicitSchedule((11,), 11), selection="uniform")
+        model = IncrementalBatchError(ExplicitSchedule((11,)), selection="uniform")
         for seed in range(5):
             e = draw_error(model, problem, x, 1, np.random.default_rng(seed))
             assert np.array_equal(e, np.zeros(3))
@@ -210,7 +212,7 @@ class TestMakeError:
     def test_uniform_selection_depends_on_rng(self):
         problem = random_square_problem(8, samples=12, features=3)
         x = np.ones(3)
-        model = IncrementalBatchError(ExplicitSchedule((4,), 12), selection="uniform")
+        model = IncrementalBatchError(ExplicitSchedule((4,)), selection="uniform")
         repeat = [draw_error(model, problem, x, 1, np.random.default_rng(7)) for _ in range(2)]
         other = draw_error(model, problem, x, 1, np.random.default_rng(8))
         assert np.array_equal(repeat[0], repeat[1])
@@ -251,14 +253,6 @@ class TestModelMustFitProblem:
         with pytest.raises(ValueError, match=f"direction length {length} does not match 3 features"):
             run(problem, model, np.zeros(3), 5)
 
-    @pytest.mark.parametrize("total", [4, 8])
-    def test_run_rejects_schedule_total_other_than_samples(self, total):
-        # below M it would silently run on a prefix, above M fail mid-run
-        problem = random_square_problem(3, samples=6, features=3)
-        model = IncrementalBatchError(GeometricResidualSchedule(0.5, 0.5, total), selection="uniform")
-        with pytest.raises(ValueError, match=f"schedule total {total} does not match 6 samples"):
-            run(problem, model, np.zeros(3), 5)
-
     def test_make_error_rejects_mismatched_direction(self):
         problem = tiny_problem()
         model = SyntheticError(GeometricNorms(1.0, 0.5), direction=np.array([1.0]))
@@ -266,9 +260,10 @@ class TestModelMustFitProblem:
             run(problem, model, np.zeros(2), 1)
 
     def test_make_error_rejects_mismatched_schedule(self):
+        # a size above M, even one the run would not reach, fails before any step
         problem = tiny_problem()
-        model = IncrementalBatchError(ExplicitSchedule((1,), 3))
-        with pytest.raises(ValueError, match="schedule total 3"):
+        model = IncrementalBatchError(ExplicitSchedule((1, 3)))
+        with pytest.raises(ValueError, match=r"sizes must lie in \[1, 2\]"):
             run(problem, model, np.zeros(2), 1)
 
 
@@ -353,7 +348,7 @@ def reference_run(problem, model, x0, iterations, seed, batch_error=left_out_bat
                 d = model.direction
             e = model.norms.norm_at(k + 1) * d
         else:
-            s = model.schedule.size_at(k)
+            s = model.schedule.size_at(k, problem.n_samples)
             e = batch_error(problem, slopes, g, s, model.selection, rng)
             out["batch_sizes"].append(s)
         step = (g + e) / L
@@ -380,8 +375,8 @@ REFERENCE_MODELS = {
     # a long stream: run draws every direction up front, the reference one per step
     "synthetic-random-500": SyntheticError(GeometricNorms(0.5, 0.99)),
     "synthetic-fixed": SyntheticError(PolynomialNorms(0.5, 1.0), direction=np.array([1.0, -2.0, 0.5, 3.0])),
-    "prefix-batch": IncrementalBatchError(GeometricResidualSchedule(0.6, 0.8, 30), selection="prefix"),
-    "uniform-batch": IncrementalBatchError(PolynomialResidualSchedule(0.6, 1.0, 30), selection="uniform"),
+    "prefix-batch": IncrementalBatchError(GeometricResidualSchedule(0.6, 0.8), selection="prefix"),
+    "uniform-batch": IncrementalBatchError(PolynomialResidualSchedule(0.6, 1.0), selection="uniform"),
 }
 
 
@@ -411,7 +406,7 @@ def _tall_problem(samples=5000):
 def test_run_matches_reference_loop_bitwise_on_a_tall_problem():
     # thousands of left-out rows per gather; the kernel's row copies must
     # reach the BLAS product in the same order as fancy indexing
-    model = IncrementalBatchError(GeometricResidualSchedule(0.9, 0.8, 5000), selection="uniform")
+    model = IncrementalBatchError(GeometricResidualSchedule(0.9, 0.8), selection="uniform")
     assert_matches_reference(_tall_problem(), model, np.zeros(5), 8, 4)
 
 
@@ -427,7 +422,7 @@ def test_run_batch_matches_the_reference_loop_bitwise(loss, name):
     # it alone, from a start of its own
     if loss == "tall":
         problem, iterations = _tall_problem(), 8
-        model = IncrementalBatchError(GeometricResidualSchedule(0.9, 0.8, 5000), selection="uniform")
+        model = IncrementalBatchError(GeometricResidualSchedule(0.9, 0.8), selection="uniform")
     else:
         problem, model = _reference_problem(loss), REFERENCE_MODELS[name]
         iterations = 500 if name.endswith("-500") else 40
@@ -494,7 +489,7 @@ def test_stacked_run_peak_memory_stays_below_attach_distances():
     # distances took a pseudoinverse, a price the same command used to pay
     spec = LeastSquaresSpec(20000, 5, 3, 0.1, seed=5, singular_range=(0.7, 1.0))
     problem = generate_least_squares(spec)
-    model = IncrementalBatchError(GeometricResidualSchedule(0.9, 0.8, 20000), selection="uniform")
+    model = IncrementalBatchError(GeometricResidualSchedule(0.9, 0.8), selection="uniform")
     tracemalloc.start()
     try:
         run_batch(problem, model, np.zeros((15, 5)), 34, range(15))
@@ -507,7 +502,7 @@ def test_stacked_run_peak_memory_stays_below_attach_distances():
 PREFIX_CASES = {
     "square": (lambda: _reference_problem(SQUARE), REFERENCE_MODELS["prefix-batch"], 4, 40),
     "logistic": (lambda: _reference_problem(LOGISTIC), REFERENCE_MODELS["prefix-batch"], 4, 40),
-    "tall": (_tall_problem, IncrementalBatchError(GeometricResidualSchedule(0.9, 0.8, 5000), selection="prefix"),
+    "tall": (_tall_problem, IncrementalBatchError(GeometricResidualSchedule(0.9, 0.8), selection="prefix"),
              5, 20),
 }
 
@@ -535,7 +530,7 @@ def test_uniform_batch_errors_are_right_in_law():
     # of ||e_{k+1}||^2 over expected_sq_error(x_k, s_k) lies within 4
     # standard errors of 0 at every step
     problem = random_square_problem(71, samples=12, features=3)
-    model = IncrementalBatchError(ExplicitSchedule((2, 3, 5, 7, 9, 11), 12), selection="uniform")
+    model = IncrementalBatchError(ExplicitSchedule((2, 3, 5, 7, 9, 11)), selection="uniform")
     steps = 6
     excess = np.empty((100, steps))
     for seed in range(100):
@@ -602,7 +597,7 @@ def test_small_batches_of_many_rows_pass_the_forms_check(selection):
     # ((M - s) g - S_R) / s would round about 2e4 times a row's rounding,
     # beyond _BATCH_FORM_ATOL, so such a batch takes the direct form
     problem = _tall_problem(20_000)
-    model = IncrementalBatchError(ExplicitSchedule((1, 2, 20_000), 20_000), selection=selection)
+    model = IncrementalBatchError(ExplicitSchedule((1, 2, 20_000)), selection=selection)
     traj = run(problem, model, np.zeros(5), 3, seed=0)
     assert traj.batch_sizes.tolist() == [1, 2, 20_000]
     assert not traj.errors[2].any()
@@ -720,17 +715,15 @@ class TestRun:
 
     def test_batch_run_records_schedule_sizes(self):
         problem = random_square_problem(41, samples=20, features=3)
-        schedule = GeometricResidualSchedule(0.5, 0.7, 20)
+        schedule = GeometricResidualSchedule(0.5, 0.7)
         traj = run(problem, IncrementalBatchError(schedule), np.zeros(3), 15, seed=0)
-        expected = [schedule.size_at(k) for k in range(15)]
+        expected = [schedule.size_at(k, 20) for k in range(15)]
         assert traj.batch_sizes.tolist() == expected
 
     def test_metadata(self):
         problem = tiny_problem()
         traj = run(problem, ZeroError(), np.zeros(2), 1, seed=9)
         assert traj.seed == 9
-        assert traj.problem_digest == problem.digest
-        assert traj.model_label == "zero"
 
     def test_divergence_is_reported_with_iteration(self):
         # microscopic smoothness constant makes one enormous injected error
