@@ -35,7 +35,6 @@ from .diagnostics import (
     fit_linear_rate,
     fit_sublinear_exponent,
     iterate_rate_check,
-    mu_delta_formula,
     qualifying_length,
     verify_descent,
     verify_iter_bounds,
@@ -108,7 +107,6 @@ __all__ = [
     "generate_logistic",
     "iterate_rate_check",
     "load_problem",
-    "mu_delta_formula",
     "parse_config",
     "qualifying_length",
     "rank_factorization",

@@ -36,7 +36,8 @@ from .datagen import (
     load_problem,
     save_problem,
 )
-from .diagnostics import RateReport, aggregate_expectation, check_ls_expected_bound, diagnose
+from .diagnostics import FAMILIES, ExponentFit, RateFit, RateReport
+from .diagnostics import aggregate_expectation, check_ls_expected_bound, diagnose
 from .engine import DivergedError, IncrementalBatchError, Trajectory, check_fits, run, run_batch
 from .optimum import CertificationError, OptimalSetCertificate, attach_distances, certify
 from .problems import SQUARE, ComposedProblem
@@ -50,15 +51,7 @@ SEED_ENV = "IGM_LAB_SEED"
 
 TRAJECTORY_COLUMNS = ("k", "f", "f_gap", "grad_norm", "err_norm", "step_norm", "dist_to_opt", "batch_size")
 
-VIOLATION_KEYS = (
-    "descent",
-    "iter_bound_a",
-    "iter_bound_b",
-    "mu_delta_envelope",
-    "iterate_envelope",
-    "ls_error_bound",
-    "logistic_error_bound",
-)
+VIOLATION_KEYS = FAMILIES  # a verdict lists one violation count per census family
 
 
 class UsageError(Exception):
@@ -105,12 +98,19 @@ def write_trajectory_csv(path: Path, traj: Trajectory, f_min: float) -> None:
         handle.writelines(",".join(row) + "\n" for row in zip(*columns))
 
 
+def _fits(linear: RateFit | None, sublinear: ExponentFit | None) -> dict[str, Any]:
+    """The two rate fits as verdicts, aggregates and sweep rows write them."""
+    return {
+        "linear_fit": None if linear is None else {"c": linear.rate, "r2": linear.r_squared},
+        "sublinear_fit": None if sublinear is None else {"p": sublinear.exponent, "r2": sublinear.r_squared},
+    }
+
+
 def verdict_payload(config_digest: str, seed: int, report: RateReport) -> dict[str, Any]:
     violations = {}
     for key in VIOLATION_KEYS:
         entry = report.census.get(key)
         violations[key] = None if entry is None else entry.violations
-    linear, sublinear = report.linear_fit, report.sublinear_fit
     return {
         "config_digest": config_digest,
         "seed": seed,
@@ -120,8 +120,7 @@ def verdict_payload(config_digest: str, seed: int, report: RateReport) -> dict[s
         "delta": report.delta,
         "lambda1_hat": report.lambda1,
         "lambda2_hat": report.lambda2,
-        "linear_fit": None if linear is None else {"c": linear.rate, "r2": linear.r_squared},
-        "sublinear_fit": None if sublinear is None else {"p": sublinear.exponent, "r2": sublinear.r_squared},
+        **_fits(report.linear_fit, report.sublinear_fit),
     }
 
 
@@ -170,7 +169,7 @@ def _execute(config: ExperimentConfig, out_dir: Path) -> tuple[int, dict[str, An
             return EXIT_VERIFICATION, {"error": str(exc)}
         attach_distances(cert, problem, traj)
         write_trajectory_csv(out_dir / f"trajectory_seed{seed}.csv", traj, cert.f_min)
-        report = diagnose(problem, cert, traj, config.tail_fraction, config.tolerance_scale)
+        report = diagnose(problem, cert, traj, config.tail_fraction)
         _write_json(out_dir / f"verdict_seed{seed}.json", verdict_payload(digest, seed, report))
         trajectories.append(traj)
         reports.append(report)
@@ -207,13 +206,11 @@ def _aggregate_payload(
     if len(trajectories) < 2:
         return None
     report = aggregate_expectation(trajectories, cert, config.tail_fraction)
-    linear, sublinear = report.linear_fit, report.sublinear_fit
     payload: dict[str, Any] = {
         "config_digest": config.digest,
         "seeds": list(config.seeds),
         "mean_final_gap": float(report.mean_gap[-1]),
-        "linear_fit": None if linear is None else {"c": linear.rate, "r2": linear.r_squared},
-        "sublinear_fit": None if sublinear is None else {"p": sublinear.exponent, "r2": sublinear.r_squared},
+        **_fits(report.linear_fit, report.sublinear_fit),
         "ls_expected_bound": None,
     }
     model = config.error_model
@@ -234,19 +231,16 @@ def _summary_row(
     aggregate: dict[str, Any] | None,
 ) -> dict[str, Any]:
     first = reports[0]
-    linear = aggregate["linear_fit"] if aggregate else None
-    sublinear = aggregate["sublinear_fit"] if aggregate else None
-    if linear is None and first.linear_fit is not None:
-        linear = {"c": first.linear_fit.rate, "r2": first.linear_fit.r_squared}
-    if sublinear is None and first.sublinear_fit is not None:
-        sublinear = {"p": first.sublinear_fit.exponent, "r2": first.sublinear_fit.r_squared}
+    # each fit on the mean gap where it exists, else the first seed's
+    fits = _fits(first.linear_fit, first.sublinear_fit)
+    if aggregate:
+        fits = {key: aggregate[key] or fit for key, fit in fits.items()}
     return {
         "seeds": len(config.seeds),
         "violations": sum(r.total_violations for r in reports),
         "mu": first.mu,
         "delta": first.delta,
-        "linear_fit": linear,
-        "sublinear_fit": sublinear,
+        **fits,
     }
 
 

@@ -2,16 +2,18 @@
 
 A config document describes one experiment: the problem (generator recipe
 or dataset file), the gradient-error model, the starting point, iteration
-and seed counts, and verification knobs. Parsing checks every key (unknown
-keys, missing fields and wrong types fail fast with a path to the offending
-entry) and builds the error model, whose objects enforce their own numeric
-ranges; the checks that need the problem wait for ``engine.check_fits``.
+and seed counts, and whether verification is on. Parsing checks every key
+(unknown keys, missing fields, wrong types and non-finite numbers fail fast
+with a path to the offending entry) and builds the error model, whose
+objects enforce their own numeric ranges; the checks that need the problem
+wait for ``engine.check_fits``.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 from typing import Any
 
@@ -60,6 +62,17 @@ def _known_keys(raw: dict[str, Any], where: str, allowed: set[str]) -> None:
         raise ValueError(f"{where}: unknown keys {sorted(unknown)}")
 
 
+def _finite(value: float, where: str) -> float:
+    """``value`` as a float, unless it is NaN, infinite or an integer beyond the float range."""
+    try:
+        value = float(value)
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
+        raise ValueError(f"{where}: expected a finite number")
+    return value
+
+
 def _number(raw: dict[str, Any], where: str, key: str, default: float | None = None) -> float:
     if key not in raw:
         if default is None:
@@ -68,7 +81,7 @@ def _number(raw: dict[str, Any], where: str, key: str, default: float | None = N
     value = raw[key]
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValueError(f"{where}.{key}: expected a number")
-    return float(value)
+    return _finite(value, f"{where}.{key}")
 
 
 def _integer(raw: dict[str, Any], where: str, key: str) -> int:
@@ -129,7 +142,7 @@ def parse_problem(raw: Any) -> LeastSquaresSpec | LogisticSpec | DatasetSpec:
             rank=_integer(raw, "problem", "rank"),
             noise=_number(raw, "problem", "noise"),
             seed=_integer(raw, "problem", "seed"),
-            singular_range=(float(spec_range[0]), float(spec_range[1])),
+            singular_range=tuple(_finite(v, "problem.singular_range") for v in spec_range),
         )
     if kind == "logistic":
         _known_keys(raw, "problem", {"kind", "samples", "features", "flip_fraction", "seed"})
@@ -199,7 +212,8 @@ def parse_error_model(raw: Any) -> ErrorModel:
         norms = _rule(raw.get("norms"), "error_model.norms", _NORM_RULES)
         if raw.get("direction") is None:
             return SyntheticError(norms)
-        direction = np.asarray(_list(raw, "error_model", "direction", (int, float)), dtype=float)
+        values = _list(raw, "error_model", "direction", (int, float))
+        direction = np.array([_finite(v, "error_model.direction") for v in values])
         return _build("error_model.direction", SyntheticError, norms, direction)
     _known_keys(raw, "error_model", {"kind", "schedule", "selection"})
     schedule = _rule(raw.get("schedule"), "error_model.schedule", _SCHEDULE_RULES)
@@ -215,7 +229,7 @@ def parse_start(raw: Any) -> StartSpec:
         return StartSpec("zeros")
     _known_keys(raw, "start", {"kind", "radius"})
     radius = _number(raw, "start", "radius", 1.0)
-    if not np.isfinite(radius) or radius <= 0:
+    if radius <= 0:
         raise ValueError("start.radius: expected a positive number")
     return StartSpec("random_ball", radius)
 
@@ -243,7 +257,6 @@ class ExperimentConfig:
     seeds: tuple[int, ...]
     output_dir: str | None
     verify_enabled: bool
-    tolerance_scale: float
     tail_fraction: float
     raw: dict[str, Any]
 
@@ -296,17 +309,13 @@ def parse_config(raw: Any) -> ExperimentConfig:
     if output_dir is not None and not isinstance(output_dir, str):
         raise ValueError("config.output_dir: expected a string")
     verify_enabled = True
-    tolerance_scale = 1.0
     if "verify" in raw:
         verify = _mapping(raw["verify"], "config.verify")
-        _known_keys(verify, "config.verify", {"enabled", "tolerance_scale"})
+        _known_keys(verify, "config.verify", {"enabled"})
         if "enabled" in verify:
             if not isinstance(verify["enabled"], bool):
                 raise ValueError("config.verify.enabled: expected a boolean")
             verify_enabled = verify["enabled"]
-        tolerance_scale = _number(verify, "config.verify", "tolerance_scale", 1.0)
-        if not np.isfinite(tolerance_scale):
-            raise ValueError("config.verify.tolerance_scale: expected a finite number")
     tail_fraction = _number(raw, "config", "tail_fraction", DEFAULT_TAIL_FRACTION)
     if not 0.0 < tail_fraction <= 1.0:
         raise ValueError("config.tail_fraction: must lie in (0, 1]")
@@ -318,7 +327,6 @@ def parse_config(raw: Any) -> ExperimentConfig:
         seeds=seeds,
         output_dir=output_dir,
         verify_enabled=verify_enabled,
-        tolerance_scale=tolerance_scale,
         tail_fraction=tail_fraction,
         raw=raw,
     )

@@ -1,7 +1,8 @@
 """Trajectory diagnostics: inequality censuses and rate estimation.
 
-Every guarantee the method comes with is checked mechanically here, at
-explicit float tolerances, over whole trajectories:
+Every guarantee the method comes with is checked mechanically here,
+over whole trajectories, each inequality family at its own tolerance
+constant below:
 
 * sufficient decrease of the objective per step,
 * per-step bounds on the squared step and on the gap growth,
@@ -39,6 +40,10 @@ MU_GRID = (0.5, 0.6, 0.7, 0.8, 0.9, 0.95, 0.98, 0.99, 0.995, 0.999)
 DELTA_GRID = tuple(10.0**p for p in range(-3, 7))
 MU_DELTA_SLACK = 1e-12
 
+# census families, in the order a verdict lists their violation counts
+FAMILIES = ("descent", "iter_bound_a", "iter_bound_b", "mu_delta_envelope", "iterate_envelope",
+            "ls_error_bound", "logistic_error_bound")
+
 
 @dataclass(frozen=True)
 class CensusEntry:
@@ -72,20 +77,17 @@ def _census(name: str, margins: np.ndarray) -> CensusEntry:
 # per-step inequality censuses
 
 
-def verify_descent(traj, constants: LipschitzConstants, tolerance_scale: float = 1.0) -> CensusEntry:
+def verify_descent(traj, constants: LipschitzConstants) -> CensusEntry:
     """Check f(x_k) - f(x_{k+1}) >= L/2 * ||step||^2 - ||e|| * ||step||."""
     L = constants.composed
     drop = traj.fs[:-1] - traj.fs[1:]
     rhs = 0.5 * L * traj.step_norms**2 - traj.err_norms * traj.step_norms
-    tol = tolerance_scale * DESCENT_TOL * (1.0 + np.abs(traj.fs[:-1]))
+    tol = DESCENT_TOL * (1.0 + np.abs(traj.fs[:-1]))
     return _census("descent", drop - rhs + tol)
 
 
 def verify_iter_bounds(
-    traj,
-    constants: LipschitzConstants,
-    cert: OptimalSetCertificate,
-    tolerance_scale: float = 1.0,
+    traj, constants: LipschitzConstants, cert: OptimalSetCertificate
 ) -> tuple[CensusEntry, CensusEntry]:
     """Check the two per-step corollaries of sufficient decrease.
 
@@ -93,7 +95,7 @@ def verify_iter_bounds(
     (b) 0 <= gap_{k+1} <= gap_k + ||e||^2 / (2L)
     """
     L = constants.composed
-    tol = tolerance_scale * ITER_BOUND_TOL * (1.0 + np.abs(traj.fs[:-1]))
+    tol = ITER_BOUND_TOL * (1.0 + np.abs(traj.fs[:-1]))
     drop = traj.fs[:-1] - traj.fs[1:]
     e2 = traj.err_norms**2
     margin_a = (4.0 / L) * (drop + e2 / L) + tol - traj.step_norms**2
@@ -162,55 +164,42 @@ def _r_squared(y: np.ndarray, fitted: np.ndarray) -> float:
         return 1.0 if ss_res <= 1e-24 else 0.0
     return 1.0 - ss_res / ss_tot
 
-def _window_start(m: int, tail_fraction: float, skip: int, lo: int = 0) -> int:
-    if not 0.0 < tail_fraction <= 1.0:
-        raise ValueError("tail_fraction must lie in (0, 1]")
-    start = max(int(m * (1.0 - tail_fraction)), skip, lo)
-    return min(start, m - 5)
 
+def _tail_line(gaps, tail_fraction: float, skip: int, log_k: bool):
+    """Least-squares line through log(gap_k) against k, or against log k
+    from k = 1, over the trailing ``tail_fraction`` of the qualifying gaps
+    (skipping at least the first ``skip`` iterations as transient).
 
-def fit_linear_rate(gaps, tail_fraction: float = 0.5, skip: int = TRANSIENT_SKIP) -> RateFit:
-    """Fit a per-iteration contraction factor to the tail of a gap sequence.
-
-    The window is the trailing ``tail_fraction`` of the qualifying gaps
-    (skipping at least the first ``skip`` iterations as transient), and the
-    fitted rate is exp(slope) of a least-squares line through log(gap).
-
-    Raises ``ValueError`` with fewer than 5 qualifying points.
+    Returns (slope, R^2, start, stop). Raises ``ValueError`` with fewer
+    than 5 qualifying gaps (6 against log k).
     """
     gaps = np.asarray(gaps, dtype=float)
     m = qualifying_length(gaps)
-    if m < 5:
-        raise ValueError(f"only {m} qualifying gaps, need at least 5")
-    start = _window_start(m, tail_fraction, skip)
+    need = 6 if log_k else 5
+    if m < need:
+        raise ValueError(f"only {m} qualifying gaps, need at least {need}")
+    if not 0.0 < tail_fraction <= 1.0:
+        raise ValueError("tail_fraction must lie in (0, 1]")
+    start = min(max(int(m * (1.0 - tail_fraction)), skip, int(log_k)), m - 5)
     k = np.arange(start, m, dtype=float)
+    x = np.log(k) if log_k else k
     y = np.log(gaps[start:m])
-    slope, intercept = np.polyfit(k, y, 1)
-    return RateFit(
-        rate=float(np.exp(slope)),
-        r_squared=_r_squared(y, slope * k + intercept),
-        start=start,
-        stop=m,
-    )
+    slope, intercept = np.polyfit(x, y, 1)
+    return slope, _r_squared(y, slope * x + intercept), start, m
+
+
+def fit_linear_rate(gaps, tail_fraction: float = 0.5, skip: int = TRANSIENT_SKIP) -> RateFit:
+    """Fit a per-iteration contraction factor, exp(slope) of the tail line
+    through log(gap) against k. Raises ``ValueError`` with fewer than 5
+    qualifying points."""
+    slope, r_squared, start, stop = _tail_line(gaps, tail_fraction, skip, log_k=False)
+    return RateFit(float(np.exp(slope)), r_squared, start, stop)
 
 
 def fit_sublinear_exponent(gaps, tail_fraction: float = 0.5, skip: int = TRANSIENT_SKIP) -> ExponentFit:
     """Fit gap_k ~ k**exponent on the tail window (k >= 1)."""
-    gaps = np.asarray(gaps, dtype=float)
-    m = qualifying_length(gaps)
-    if m < 6:
-        raise ValueError(f"only {m} qualifying gaps, need at least 6")
-    start = _window_start(m, tail_fraction, skip, lo=1)
-    k = np.arange(start, m, dtype=float)
-    y = np.log(gaps[start:m])
-    logk = np.log(k)
-    slope, intercept = np.polyfit(logk, y, 1)
-    return ExponentFit(
-        exponent=float(slope),
-        r_squared=_r_squared(y, slope * logk + intercept),
-        start=start,
-        stop=m,
-    )
+    slope, r_squared, start, stop = _tail_line(gaps, tail_fraction, skip, log_k=True)
+    return ExponentFit(float(slope), r_squared, start, stop)
 
 
 def _or_none(estimate, *args):
@@ -223,18 +212,6 @@ def _or_none(estimate, *args):
 
 # ---------------------------------------------------------------------------
 # gap recursion and envelopes
-
-
-def mu_delta_formula(nu: float, lipschitz: float) -> tuple[float, float]:
-    """Gap-recursion parameters implied by a cost-to-go constant ``nu``.
-
-    Returns (mu, delta) with mu = (8 nu / L) / (1 + 8 nu / L) and
-    delta = 2 nu (1 + 1/L^2) / (1 + 8 nu / L).
-    """
-    if nu <= 0 or lipschitz <= 0:
-        raise ValueError("nu and lipschitz must be positive")
-    t = 8.0 * nu / lipschitz
-    return t / (1.0 + t), 2.0 * nu * (1.0 + 1.0 / lipschitz**2) / (1.0 + t)
 
 
 def find_mu_delta(traj, cert: OptimalSetCertificate) -> tuple[float, float] | None:
@@ -260,13 +237,7 @@ def find_mu_delta(traj, cert: OptimalSetCertificate) -> tuple[float, float] | No
     return None
 
 
-def envelope_check(
-    traj,
-    mu: float,
-    delta: float,
-    cert: OptimalSetCertificate,
-    tolerance_scale: float = 1.0,
-) -> CensusEntry:
+def envelope_check(traj, mu: float, delta: float, cert: OptimalSetCertificate) -> CensusEntry:
     """Check the unrolled gap envelope
     gap_k <= mu**k * gap_0 + delta * sum_j mu**(k-j) * ||e_j||^2."""
     gaps = traj.gaps(cert.f_min)
@@ -276,7 +247,7 @@ def envelope_check(
     for sq in (traj.err_norms**2).tolist():
         level = mu * level + delta * sq
         envelope.append(level)
-    tol = tolerance_scale * ENVELOPE_TOL * (1.0 + gaps[0])
+    tol = ENVELOPE_TOL * (1.0 + gaps[0])
     return _census("mu_delta_envelope", np.array(envelope) + tol - gaps)
 
 
@@ -354,7 +325,7 @@ def iterate_rate_check(traj, cert: OptimalSetCertificate, mu: float) -> IterateE
 # batch-error bounds
 
 
-def check_ls_error_bound(traj, problem: ComposedProblem, tolerance_scale: float = 1.0) -> CensusEntry:
+def check_ls_error_bound(traj, problem: ComposedProblem) -> CensusEntry:
     """Check ||e_{k+1}||^2 <= 8 R^2 * leftout_fraction * f(x_k) for square
     losses, at steps whose batch holds at least half the samples."""
     if problem.loss != SQUARE:
@@ -367,11 +338,10 @@ def check_ls_error_bound(traj, problem: ComposedProblem, tolerance_scale: float 
     mask = 2 * sizes >= m
     leftout = (m - sizes[mask]) / m
     bound = 8.0 * radius**2 * leftout * traj.fs[:-1][mask]
-    tol = tolerance_scale * ERROR_BOUND_TOL
-    return _census("ls_error_bound", bound + tol - traj.err_norms[mask] ** 2)
+    return _census("ls_error_bound", bound + ERROR_BOUND_TOL - traj.err_norms[mask] ** 2)
 
 
-def check_logistic_error_bound(traj, problem: ComposedProblem, tolerance_scale: float = 1.0) -> CensusEntry:
+def check_logistic_error_bound(traj, problem: ComposedProblem) -> CensusEntry:
     """Check ||e_{k+1}||^2 <= 4 R^4 * leftout_fraction^2 for logistic losses."""
     if problem.loss != LOGISTIC:
         raise ValueError("logistic bound requested on a non-logistic problem")
@@ -381,8 +351,7 @@ def check_logistic_error_bound(traj, problem: ComposedProblem, tolerance_scale: 
     radius = problem.sample_radius
     leftout = (m - traj.batch_sizes) / m
     bound = 4.0 * radius**4 * leftout**2
-    tol = tolerance_scale * ERROR_BOUND_TOL
-    return _census("logistic_error_bound", bound + tol - traj.err_norms**2)
+    return _census("logistic_error_bound", bound + ERROR_BOUND_TOL - traj.err_norms**2)
 
 
 def check_ls_expected_bound(trajs, problem: ComposedProblem, cert: OptimalSetCertificate) -> CensusEntry:
@@ -417,12 +386,9 @@ def check_ls_expected_bound(trajs, problem: ComposedProblem, cert: OptimalSetCer
 
 @dataclass(eq=False)
 class AggregateReport:
-    """Per-iteration sample means over seeds, with rate fits on the mean gap."""
+    """The per-iteration mean gap over seeds, with rate fits on it."""
 
     mean_gap: np.ndarray
-    gap_se: np.ndarray
-    mean_step: np.ndarray
-    mean_dist: np.ndarray | None
     linear_fit: RateFit | None
     sublinear_fit: ExponentFit | None
 
@@ -434,22 +400,11 @@ def aggregate_expectation(trajs, cert: OptimalSetCertificate, tail_fraction: flo
     length = trajs[0].fs.shape[0]
     if any(t.fs.shape[0] != length for t in trajs):
         raise ValueError("trajectories must have equal length")
-    gaps = np.stack([t.gaps(cert.f_min) for t in trajs])
-    mean_gap = gaps.mean(axis=0)
-    gap_se = gaps.std(axis=0, ddof=1) / np.sqrt(len(trajs))
-    mean_step = np.stack([t.step_norms for t in trajs]).mean(axis=0)
-    mean_dist = None
-    if all(t.dists is not None for t in trajs):
-        mean_dist = np.stack([t.dists for t in trajs]).mean(axis=0)
-    linear = _or_none(fit_linear_rate, mean_gap, tail_fraction)
-    sublinear = _or_none(fit_sublinear_exponent, mean_gap, tail_fraction)
+    mean_gap = np.stack([t.gaps(cert.f_min) for t in trajs]).mean(axis=0)
     return AggregateReport(
         mean_gap=mean_gap,
-        gap_se=gap_se,
-        mean_step=mean_step,
-        mean_dist=mean_dist,
-        linear_fit=linear,
-        sublinear_fit=sublinear,
+        linear_fit=_or_none(fit_linear_rate, mean_gap, tail_fraction),
+        sublinear_fit=_or_none(fit_sublinear_exponent, mean_gap, tail_fraction),
     )
 
 
@@ -479,18 +434,12 @@ class RateReport:
         return self.total_violations == 0 and self.mu is not None
 
 
-def diagnose(
-    problem: ComposedProblem,
-    cert: OptimalSetCertificate,
-    traj,
-    tail_fraction: float = 0.5,
-    tolerance_scale: float = 1.0,
-) -> RateReport:
+def diagnose(problem: ComposedProblem, cert: OptimalSetCertificate, traj, tail_fraction: float = 0.5) -> RateReport:
     """Run every applicable check and fit on one trajectory."""
     constants = problem.constants
     census: dict[str, CensusEntry] = {}
-    census["descent"] = verify_descent(traj, constants, tolerance_scale)
-    bound_a, bound_b = verify_iter_bounds(traj, constants, cert, tolerance_scale)
+    census["descent"] = verify_descent(traj, constants)
+    bound_a, bound_b = verify_iter_bounds(traj, constants, cert)
     census["iter_bound_a"] = bound_a
     census["iter_bound_b"] = bound_b
 
@@ -499,7 +448,7 @@ def diagnose(
     lambda1 = lambda2 = None
     if pair is not None:
         mu, delta = pair
-        census["mu_delta_envelope"] = envelope_check(traj, mu, delta, cert, tolerance_scale)
+        census["mu_delta_envelope"] = envelope_check(traj, mu, delta, cert)
         if traj.dists is not None:
             fit = iterate_rate_check(traj, cert, mu)
             census["iterate_envelope"] = fit.census
@@ -507,9 +456,9 @@ def diagnose(
 
     if traj.batch_sizes is not None:
         if problem.loss == SQUARE:
-            census["ls_error_bound"] = check_ls_error_bound(traj, problem, tolerance_scale)
+            census["ls_error_bound"] = check_ls_error_bound(traj, problem)
         else:
-            census["logistic_error_bound"] = check_logistic_error_bound(traj, problem, tolerance_scale)
+            census["logistic_error_bound"] = check_logistic_error_bound(traj, problem)
 
     tau_hat = None if traj.dists is None else _or_none(estimate_tau, traj)
     gaps = traj.gaps(cert.f_min)

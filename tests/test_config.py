@@ -49,7 +49,6 @@ def test_minimal_config_parses():
     assert config.iterations == 20
     assert config.seeds == (0, 1)
     assert config.verify_enabled
-    assert config.tolerance_scale == 1.0
     assert config.tail_fraction == 0.5
     assert config.start == StartSpec("zeros")
 
@@ -105,17 +104,9 @@ def test_field_validation():
     with pytest.raises(ValueError):
         parse_config(raw)
     raw = base_config()
-    raw["verify"] = {"tolerance_scale": float("inf")}
-    with pytest.raises(ValueError):
+    raw["start"] = {"kind": "random_ball", "radius": float("inf")}
+    with pytest.raises(ValueError, match="start.radius: expected a finite number"):
         parse_config(raw)
-
-
-def test_negative_tolerance_scale_is_allowed():
-    # deliberately negative tolerances turn every near-tight inequality
-    # into a violation, which is how the verification path is exercised
-    raw = base_config()
-    raw["verify"] = {"tolerance_scale": -1.0}
-    assert parse_config(raw).tolerance_scale == -1.0
 
 
 def test_error_model_structure_is_checked():
