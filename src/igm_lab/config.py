@@ -241,9 +241,18 @@ def _parse_seeds(value: Any) -> tuple[int, ...]:
         if value < 1:
             raise ValueError("seeds: count must be at least 1")
         return tuple(range(value))
-    if isinstance(value, list) and value and all(isinstance(s, int) and not isinstance(s, bool) for s in value):
-        return tuple(value)
-    raise ValueError("seeds: expected an integer count or a nonempty list of integers")
+    if not (isinstance(value, list) and value and all(isinstance(s, int) and not isinstance(s, bool) for s in value)):
+        raise ValueError("seeds: expected an integer count or a nonempty list of integers")
+    # a seed is a generator's entropy, which is non-negative; a repeated seed
+    # would repeat its run and count it twice in the aggregate
+    seen = set()
+    for seed in value:
+        if seed < 0:
+            raise ValueError(f"seeds: expected non-negative integers, got {seed}")
+        if seed in seen:
+            raise ValueError(f"seeds: seed {seed} is listed more than once")
+        seen.add(seed)
+    return tuple(value)
 
 
 @dataclass(eq=False)

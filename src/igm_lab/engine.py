@@ -24,6 +24,18 @@ left-out set per step, in iteration order, with ``rng.choice(M, M - s,
 replace=False, shuffle=False)``; prefix selection leaves out the rows from
 s on.
 
+One step evaluates the whole stack once. ``evaluate`` writes its margins
+and slopes, and the logistic sigmoid's temporaries, into two (S, M)
+buffers that the run allocates once, so no step allocates an (S, M) array.
+Only what belongs to one seed runs seed by seed: a uniform batch's draw,
+the gathered product over its left-out rows, and one masked BLAS pass over
+all M rows into a reused scratch row. The rest runs once over the stack:
+the batch size, both batch-error forms, their agreement check, the chosen
+error, the update, and the finiteness check. Each check is one reduction
+over the stack, and rows are examined one by one only when it fails. Norms
+stay squared in the loop and are rooted once at the end; the error norms
+are taken from the stored errors after the loop.
+
 Runs are reproducible bit for bit, and the step kernel keeps the bits fixed:
 every sum adds the same values in the same order, and every norm is
 ``sqrt(v . v)``, which is what ``np.linalg.norm`` computes for a real 1-D
@@ -219,36 +231,56 @@ def check_fits(model: ErrorModel, problem: ComposedProblem) -> None:
         raise ValueError(f"sizes must lie in [1, {problem.n_samples}]")
 
 
-def _forms_agree(a: np.ndarray, b: np.ndarray) -> bool:
-    """``np.allclose(a, b, rtol=0.0, atol=_BATCH_FORM_ATOL)`` at a fifth of
-    its per-call cost: NaN never agrees, equal infinities do. Unlike
-    ``allclose`` it leaves numpy's warning on ``inf - inf`` switched on."""
-    return bool(((np.abs(a - b) <= _BATCH_FORM_ATOL) | (a == b)).all())
+def _forms_agree(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``np.allclose(a, b, rtol=0.0, atol=_BATCH_FORM_ATOL)`` along the last
+    axis, at a fifth of its per-call cost: NaN never agrees, equal infinities
+    do. Unlike ``allclose`` it leaves numpy's warning on ``inf - inf``
+    switched on."""
+    return ((np.abs(a - b) <= _BATCH_FORM_ATOL) | (a == b)).all(axis=-1)
 
 
-def _batch_error(features: np.ndarray, slopes: np.ndarray, g: np.ndarray, left_out: np.ndarray) -> np.ndarray:
-    """Batch-mean gradient minus the full gradient ``g`` for the batch of
-    s = M - r rows that leaves out the r rows ``left_out``, the per-sample
-    gradients being ``slopes[:, None] * features``. With S_R the gathered
-    left-out sum and S_B one BLAS pass over all M rows with the left-out
-    slopes zeroed, e = (r g - S_R) / s for r <= s (exactly zero for a full
-    batch) and S_B / s - g for r > s, whose rounding does not grow with r / s.
+def _batch_errors(model: IncrementalBatchError, problem: ComposedProblem, slopes: np.ndarray, g: np.ndarray,
+                  step: int, rngs, seeds) -> tuple[np.ndarray, int]:
+    """Batch errors (S, n) of a stack at 0-based ``step``, and the batch size.
+
+    Row i's batch-mean gradient minus its full gradient ``g[i]``, the
+    per-sample gradients being ``slopes[i, :, None] * features``, for the
+    batch of s = M - r rows that leaves out r rows: the tail from s on
+    (prefix selection), or ``rngs[i].choice(M, r, replace=False,
+    shuffle=False)`` (uniform). Only what belongs to one row runs per row:
+    the draw, the gathered left-out sum S_R and one BLAS pass S_B over all M
+    rows with the left-out slopes zeroed, in a reused scratch row. Over the
+    stack, e = (r g - S_R) / s for r <= s (exactly zero for a full batch)
+    and S_B / s - g for r > s, whose rounding does not grow with r / s.
     The direct form must agree with (r / (M s)) S_B - S_R / M to
     _BATCH_FORM_ATOL per coordinate; the two differ by (S_B + S_R - M g) / M,
-    so a repeated left-out index or a ``g`` off the mean breaks it."""
-    m = features.shape[0]
-    r = left_out.shape[0]
-    s = m - r
-    left_sum = slopes.take(left_out) @ features.take(left_out, axis=0)
-    masked = slopes.copy()
-    masked[left_out] = 0.0
-    batch_sum = masked @ features
-    direct = batch_sum / s - g
-    other = (r / (m * s)) * batch_sum - left_sum / m
-    if not _forms_agree(other, direct):
-        raise ArithmeticError(f"batch-error forms disagree by up to {np.max(np.abs(other - direct)):.3g},"
-                              f" beyond {_BATCH_FORM_ATOL:g}")
-    return (r * g - left_sum) / s if r <= s else direct
+    so a repeated left-out index or a ``g`` off the mean breaks it, and the
+    first such row names its seed, the step and its own largest difference."""
+    features = problem.features
+    m = problem.n_samples
+    size = model.schedule.size_at(step, m)
+    r = m - size
+    prefix = np.arange(size, m) if model.selection == "prefix" else None
+    left_sums = np.empty_like(g)
+    batch_sums = np.empty_like(g)
+    masked = np.empty(m)
+    for i, rng in enumerate(rngs):
+        left_out = prefix if prefix is not None else rng.choice(m, r, replace=False, shuffle=False)
+        left_sums[i] = slopes[i].take(left_out) @ features.take(left_out, axis=0)
+        masked[:] = slopes[i]
+        masked[left_out] = 0.0
+        batch_sums[i] = masked @ features
+    direct = batch_sums / size - g
+    other = (r / (m * size)) * batch_sums - left_sums / m
+    # one reduction passes a stack whose largest difference is within the
+    # tolerance (a NaN fails it); only then are the rows examined one by one
+    if not np.maximum.reduce(np.abs(other - direct), axis=None) <= _BATCH_FORM_ATOL:
+        agree = _forms_agree(other, direct)
+        if not agree.all():
+            i = int(agree.argmin())
+            raise ArithmeticError(f"seed {seeds[i]}: at step {step}, batch-error forms disagree by up to"
+                                  f" {np.max(np.abs(other[i] - direct[i])):.3g}, beyond {_BATCH_FORM_ATOL:g}")
+    return ((r * g - left_sums) / size if r <= size else direct), size
 
 
 def _dots(v: np.ndarray) -> np.ndarray:
@@ -257,13 +289,12 @@ def _dots(v: np.ndarray) -> np.ndarray:
     return (v[..., None, :] @ v[..., :, None])[..., 0, 0]
 
 
-def _fill_errors(model: ZeroError | SyntheticError, errors: np.ndarray, first: int,
-                 rngs: list[np.random.Generator]) -> None:
-    """Write the errors e_first, e_first+1, ... of a model that does not
-    depend on the iterate into ``errors`` (S, K, n), seed i's from
-    ``rngs[i]``. Each row is a unit direction scaled by its scheduled norm;
-    a seed's random directions come from one ``standard_normal`` call over
-    its K rows, which draws what one call per row would."""
+def _fill_errors(model: ZeroError | SyntheticError, errors: np.ndarray, rngs: list[np.random.Generator]) -> None:
+    """Write the errors e_1, ..., e_K of a model that does not depend on the
+    iterate into ``errors`` (S, K, n), seed i's from ``rngs[i]``. Each row is
+    a unit direction scaled by its scheduled norm; a seed's random
+    directions come from one ``standard_normal`` call over its K rows, which
+    draws what one call per row would."""
     if isinstance(model, ZeroError):
         errors.fill(0.0)
         return
@@ -273,31 +304,7 @@ def _fill_errors(model: ZeroError | SyntheticError, errors: np.ndarray, first: i
         errors /= np.sqrt(_dots(errors))[..., None]
     else:
         errors[:] = model.direction
-    errors *= np.array([model.norms.norm_at(k) for k in range(first, first + errors.shape[1])])[:, None]
-
-
-def _draw_error(
-    model: ErrorModel,
-    problem: ComposedProblem,
-    slopes: np.ndarray,
-    g: np.ndarray,
-    k: int,
-    rng: np.random.Generator,
-) -> tuple[np.ndarray, int | None]:
-    """Error vector e_k (1-based index k) and the batch size if batched."""
-    if k < 1:
-        raise ValueError("error index k starts at 1")
-    if not isinstance(model, IncrementalBatchError):
-        errors = np.empty((1, 1, problem.n_features))
-        _fill_errors(model, errors, k, [rng])
-        return errors[0, 0], None
-    m = problem.n_samples
-    size = model.schedule.size_at(k - 1, m)
-    if model.selection == "prefix":
-        left_out = np.arange(size, m)
-    else:
-        left_out = rng.choice(m, m - size, replace=False, shuffle=False)
-    return _batch_error(problem.features, slopes, g, left_out), size
+    errors *= np.array([model.norms.norm_at(k) for k in range(1, errors.shape[1] + 1)])[:, None]
 
 
 def expected_sq_error(problem: ComposedProblem, x, batch_size: int) -> float:
@@ -377,7 +384,7 @@ def run_batch(problem: ComposedProblem, model: ErrorModel, starts, iterations: i
         If any objective value, gradient, or iterate stops being finite: at
         the first iteration where one does, for the first such seed.
     ArithmeticError
-        If the two forms of a batch error disagree (see ``_batch_error``).
+        If the two forms of a batch error disagree (see ``_batch_errors``).
     """
     if iterations < 1:
         raise ValueError("iterations must be at least 1")
@@ -393,37 +400,39 @@ def run_batch(problem: ComposedProblem, model: ErrorModel, starts, iterations: i
     fs = np.empty((S, K + 1))
     grad_norms = np.empty((S, K + 1))
     errors = np.empty((S, K, n))
-    err_norms = np.empty((S, K))
     step_norms = np.empty((S, K))
     batched = isinstance(model, IncrementalBatchError)
     batch_sizes = np.empty((S, K), dtype=np.int64) if batched else [None] * S
     if not batched:
-        _fill_errors(model, errors, 1, rngs)
+        _fill_errors(model, errors, rngs)
+    # evaluate's margins and slopes, written anew at every iterate
+    buffers = (np.empty((S, problem.n_samples)), np.empty((S, problem.n_samples)))
 
     for k in range(K + 1):
-        f, slopes, g = problem.evaluate(x)
+        f, slopes, g = problem.evaluate(x, buffers)
         gg = _dots(g)
-        # a gradient of finite entries passes even where g . g overflows
-        finite = np.isfinite(f) & (np.isfinite(gg) | np.isfinite(g).all(axis=1))
-        if not finite.all():
-            raise DivergedError(k, seeds[int(finite.argmin())])
+        # one reduction, which cannot overflow, passes a stack with every
+        # |f| and g . g finite; only then are the rows examined one by one.
+        # A gradient of finite entries passes even where g . g overflows
+        if not math.isfinite(np.maximum.reduce(np.maximum(np.abs(f), gg))):
+            finite = np.isfinite(f) & (np.isfinite(gg) | np.isfinite(g).all(axis=1))
+            if not finite.all():
+                raise DivergedError(k, seeds[int(finite.argmin())])
         xs[:, k] = x
         fs[:, k] = f
-        grad_norms[:, k] = np.sqrt(gg)
+        grad_norms[:, k] = gg
         if k == K:
             break
         if batched:
-            for i, rng in enumerate(rngs):
-                try:
-                    errors[i, k], batch_sizes[i, k] = _draw_error(model, problem, slopes[i], g[i], k + 1, rng)
-                except ArithmeticError as exc:
-                    raise ArithmeticError(f"seed {seeds[i]}: at step {k}, {exc}") from None
-        e = errors[:, k]
-        err_norms[:, k] = np.sqrt(_dots(e))
-        step = g + e
+            errors[:, k], batch_sizes[:, k] = _batch_errors(model, problem, slopes, g, k, rngs, seeds)
+        step = g + errors[:, k]
         step /= L
-        step_norms[:, k] = np.sqrt(_dots(step))
+        step_norms[:, k] = _dots(step)
         x = x - step
+    # the loop keeps squared norms; each root is taken once, at the end
+    np.sqrt(grad_norms, out=grad_norms)
+    np.sqrt(step_norms, out=step_norms)
+    err_norms = np.sqrt(_dots(errors))
 
     return [Trajectory(xs[i], fs[i], grad_norms[i], errors[i], err_norms[i], step_norms[i], batch_sizes[i], seed)
             for i, seed in enumerate(seeds)]

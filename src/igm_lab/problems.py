@@ -39,14 +39,18 @@ class LipschitzConstants:
     operator_norm: float
 
 
-def _sigmoid(z: np.ndarray) -> np.ndarray:
+def _sigmoid(z: np.ndarray, out: np.ndarray | None = None, work: np.ndarray | None = None) -> np.ndarray:
     # one exp, of min(z, -z) = -|z|, so it cannot overflow; the numerator
     # max(e, z >= 0) is 1 where z >= 0 and e where z < 0, which gives the
     # masked forms 1 / (1 + exp(-z)) and exp(z) / (1 + exp(z)) bit for bit.
     # A NaN passes through min and max with its sign, as it does there.
+    # Float arrays of z's shape given as ``out`` (the result) and ``work``
+    # (the numerator; it may be z itself) keep its passes from allocating;
+    # without them each pass allocates, as the plain expression does.
     z = np.asarray(z, dtype=float)
-    e = np.exp(np.minimum(z, -z))
-    return np.maximum(e, z >= 0, dtype=float) / (1.0 + e)
+    e = np.exp(np.minimum(z, np.negative(z, out=out), out=out), out=out)
+    numerator = np.maximum(e, np.greater_equal(z, 0, out=work), out=work, dtype=float)
+    return np.divide(numerator, np.add(1.0, e, out=out), out=out)
 
 
 @dataclass(frozen=True, eq=False)
@@ -101,46 +105,67 @@ class ComposedProblem:
             raise ValueError(f"point must have shape ({self.n_features},), got {x.shape}")
         return x
 
+    @cached_property
+    def _negated_labels(self) -> np.ndarray:
+        return -self.labels
+
     def _margins(self, scores: np.ndarray) -> np.ndarray:
         """What both loss formulas are functions of, per sample: the
         residual ``scores - labels`` (square) or ``-labels * scores``
         (logistic), written over ``scores``."""
         if self.loss == SQUARE:
             return np.subtract(scores, self.labels, out=scores)
-        return np.multiply(-self.labels, scores, out=scores)
+        return np.multiply(self._negated_labels, scores, out=scores)
 
-    def _loss_slopes(self, margins: np.ndarray) -> np.ndarray:
-        """Per-sample derivative of the loss with respect to its score."""
+    def _loss_slopes(self, margins: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """Per-sample derivative of the loss with respect to its score,
+        written to ``out`` if given; logistic slopes then use ``margins``
+        as scratch and overwrite it."""
         if self.loss == SQUARE:
-            return 2.0 * margins
-        return -self.labels * _sigmoid(margins)
+            return np.multiply(2.0, margins, out=out)
+        work = None if out is None else margins
+        return np.multiply(self._negated_labels, _sigmoid(margins, out, work), out=out)
 
-    def _mean_loss(self, margins: np.ndarray) -> np.ndarray:
-        """Mean loss along the last axis; the losses overwrite ``margins``."""
+    def _mean_loss(self, margins: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """Mean loss along the last axis; the losses are written to ``out``,
+        which may be ``margins`` itself."""
         # sum / M is how np.mean divides; np.add.reduce is the reduction
         # ndarray.sum calls, without its wrapper's cost
         if self.loss == SQUARE:
-            losses = np.square(margins, out=margins)
+            losses = np.square(margins, out=out)
         else:
-            losses = np.logaddexp(0.0, margins, out=margins)
+            losses = np.logaddexp(0.0, margins, out=out)
         return np.add.reduce(losses, axis=-1) / self.n_samples
 
-    def evaluate(self, x) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def evaluate(
+        self, x, out: tuple[np.ndarray, np.ndarray] | None = None
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """``(f, slopes, gradient)`` at a point (n,) or at each row of a
         stack (S, n), from one pass of the scores ``features @ x``;
         ``slopes[..., :, None] * features`` are the per-sample gradients.
-        ``matmul`` with a unit middle axis hands each row to the BLAS
-        product a lone point takes, so a row's results keep its bits."""
+        ``out`` is two float arrays of shape ``x.shape[:-1] + (M,)``, for
+        the margins and the slopes, so that a caller evaluating many stacks
+        allocates them once; the slopes returned are ``out[1]``, and the
+        next call overwrites both. ``matmul`` with a unit middle axis hands
+        each row to the BLAS product a lone point takes, so a row's results
+        keep its bits."""
         x = np.asarray(x, dtype=float)
         if x.ndim > 2 or x.shape[-1:] != (self.n_features,):
             raise ValueError(f"points must have shape ({self.n_features},) or (S, {self.n_features}), got {x.shape}")
-        margins = self._margins((x[..., None, :] @ self.features.T)[..., 0, :])
-        slopes = self._loss_slopes(margins)
+        if out is None:
+            out = (np.empty(x.shape[:-1] + (self.n_samples,)), np.empty(x.shape[:-1] + (self.n_samples,)))
+        margins, slopes = out
+        np.matmul(x[..., None, :], self.features.T, out=margins[..., None, :])
+        self._margins(margins)
+        # the losses pass through the slopes' buffer before the slopes do
+        f = self._mean_loss(margins, slopes)
+        self._loss_slopes(margins, slopes)
         gradient = (slopes[..., None, :] @ self.features)[..., 0, :] / self.n_samples
-        return self._mean_loss(margins), slopes, gradient
+        return f, slopes, gradient
 
     def objective(self, x) -> float:
-        return float(self._mean_loss(self._margins(self.features @ self._point(x))))
+        margins = self._margins(self.features @ self._point(x))
+        return float(self._mean_loss(margins, margins))
 
     def gradient(self, x) -> np.ndarray:
         """Gradient of the mean loss at ``x``."""

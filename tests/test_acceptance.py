@@ -12,7 +12,7 @@ import numpy as np
 
 import igm_lab as lab
 from igm_lab.cli import main
-from igm_lab.engine import _draw_error
+from igm_lab.engine import _batch_errors
 
 GAP_TOLERANCE = 1e-10
 
@@ -219,14 +219,12 @@ def test_criterion_09_sampling_variance_identity():
     big = lab.generate_least_squares(lab.LeastSquaresSpec(200, 6, 4, 0.1, seed=6))
     x = np.random.default_rng(31).standard_normal(6)
     model = lab.IncrementalBatchError(lab.ExplicitSchedule((60,)), selection="uniform")
+    # 2000 draws at x: a stack of 2000 copies of x whose rows draw their
+    # left-out sets in turn from one generator
     draw_rng = np.random.default_rng(32)
-    _, slopes, g = big.evaluate(x)
-    samples = np.array(
-        [
-            float(np.sum(_draw_error(model, big, slopes, g, 1, draw_rng)[0] ** 2))
-            for _ in range(2000)
-        ]
-    )
+    _, slopes, g = big.evaluate(np.tile(x, (2000, 1)))
+    errors = _batch_errors(model, big, slopes, g, 0, [draw_rng] * 2000, range(2000))[0]
+    samples = np.array([float(np.sum(e**2)) for e in errors])
     expected = lab.expected_sq_error(big, x, 60)
     stderr = float(samples.std(ddof=1) / np.sqrt(samples.size))
     deviation = abs(float(samples.mean()) - expected)

@@ -180,6 +180,24 @@ class TestRunCommand:
         monkeypatch.setenv("IGM_LAB_SEED", "not-a-seed")
         assert main(["run", "--config", str(config), "--out", str(tmp_path / "out")]) == 1
 
+    @pytest.mark.parametrize("seeds, env, message", [
+        ([3, -1], None, "seeds: expected non-negative integers, got -1"),
+        ([0], "-1", "seeds: expected non-negative integers, got -1"),
+        ([2, 2], None, "seeds: seed 2 is listed more than once"),
+    ])
+    def test_bad_seeds_exit_one_before_certification(self, tiny_setup, monkeypatch, capsys, seeds, env, message):
+        # a negative seed used to certify first and then fail inside the
+        # generator; a repeated one ran twice and was averaged with itself
+        raw, config, tmp_path = tiny_setup
+        raw["seeds"] = seeds
+        config.write_text(json.dumps(raw))
+        if env is not None:
+            monkeypatch.setenv("IGM_LAB_SEED", env)
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(config), "--out", str(out)]) == 1
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+        assert not out.exists()
+
     def test_seeds_flag_expands_to_a_range(self, tiny_setup):
         raw, config, tmp_path = tiny_setup
         out = tmp_path / "out"

@@ -82,6 +82,19 @@ def test_unknown_keys_are_rejected_everywhere():
         parse_config(raw)
 
 
+@pytest.mark.parametrize("seeds, message", [
+    ([3, -1], "seeds: expected non-negative integers, got -1"),
+    ([-2], "seeds: expected non-negative integers, got -2"),
+    ([2, 2], "seeds: seed 2 is listed more than once"),
+    ([5, 0, 7, 0], "seeds: seed 0 is listed more than once"),
+])
+def test_seeds_are_distinct_and_non_negative(seeds, message):
+    raw = base_config()
+    raw["seeds"] = seeds
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        parse_config(raw)
+
+
 def test_field_validation():
     raw = base_config()
     raw["iterations"] = 0

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -28,7 +29,7 @@ from igm_lab import (
     run,
     run_batch,
 )
-from igm_lab.engine import _BATCH_FORM_ATOL, _batch_error, _draw_error, _forms_agree
+from igm_lab.engine import _BATCH_FORM_ATOL, _batch_errors, _fill_errors, _forms_agree
 from igm_lab.problems import _sigmoid
 
 TINY_FEATURES = np.array([[1.0, 0.0], [2.0, 0.0]])
@@ -145,32 +146,34 @@ class TestBatchSchedules:
             run(random_square_problem(0, samples=10), model, np.zeros(3), 1)
 
 
-def draw_error(model, problem, x, k, rng):
-    """The error e_k a run at x would draw from ``rng`` for its step k - 1."""
-    _, slopes, g = problem.evaluate(x)
-    return _draw_error(model, problem, slopes, g, k, rng)[0]
+def fill_errors(model, k, rng, n=2):
+    """The errors e_1 ... e_k of a one-seed stack drawn from ``rng``."""
+    errors = np.full((1, k, n), np.nan)
+    _fill_errors(model, errors, [rng])
+    return errors[0]
+
+
+def batch_error(model, problem, x, rng):
+    """The error e_1 a run at x would draw from ``rng`` for its step 0."""
+    _, slopes, g = problem.evaluate(x[None])
+    return _batch_errors(model, problem, slopes, g, 0, [rng], [0])[0][0]
 
 
 class TestMakeError:
-    """Error vectors drawn one at a time, as the step loop draws them."""
+    """Error vectors as the step loop draws them, for a stack of one seed."""
 
     def test_zero_model(self):
-        problem = tiny_problem()
-        e = draw_error(ZeroError(), problem, np.zeros(2), 1, np.random.default_rng(0))
-        assert np.array_equal(e, np.zeros(2))
+        assert np.array_equal(fill_errors(ZeroError(), 3, np.random.default_rng(0)), np.zeros((3, 2)))
 
     def test_synthetic_norm_is_exact(self):
-        problem = tiny_problem()
         model = SyntheticError(GeometricNorms(4.0, 0.25))
-        rng = np.random.default_rng(1)
+        errors = fill_errors(model, 5, np.random.default_rng(1))
         for k in (1, 2, 5):
-            e = draw_error(model, problem, np.zeros(2), k, rng)
-            assert np.linalg.norm(e) == pytest.approx(np.sqrt(4.0 * 0.25**k), rel=1e-12)
+            assert np.linalg.norm(errors[k - 1]) == pytest.approx(np.sqrt(4.0 * 0.25**k), rel=1e-12)
 
     def test_synthetic_fixed_direction(self):
-        problem = tiny_problem()
         model = SyntheticError(GeometricNorms(1.0, 0.25), direction=np.array([3.0, 4.0]))
-        e = draw_error(model, problem, np.zeros(2), 1, np.random.default_rng(0))
+        e = fill_errors(model, 1, np.random.default_rng(0))[0]
         assert np.allclose(e, 0.5 * np.array([0.6, 0.8]), atol=1e-15)
 
     def test_synthetic_rejects_zero_direction(self):
@@ -178,15 +181,17 @@ class TestMakeError:
             SyntheticError(GeometricNorms(1.0, 0.5), direction=np.zeros(3))
 
     def test_error_index_starts_at_one(self):
-        problem = tiny_problem()
-        with pytest.raises(ValueError):
-            draw_error(ZeroError(), problem, np.zeros(2), 0, np.random.default_rng(0))
+        # the first error a run draws is e_1, of squared norm scale * ratio,
+        # not e_0 of squared norm scale
+        model = SyntheticError(GeometricNorms(4.0, 0.25), direction=np.array([1.0, 0.0]))
+        errors = fill_errors(model, 2, np.random.default_rng(0))
+        assert errors[:, 0].tolist() == [1.0, 0.5]
 
     def test_two_sample_batch_error_closed_form(self):
         problem = tiny_problem()
         x = np.array([0.3, -0.2])
         model = IncrementalBatchError(ExplicitSchedule((1,)), selection="prefix")
-        e = draw_error(model, problem, x, 1, np.random.default_rng(0))
+        e = batch_error(model, problem, x, np.random.default_rng(0))
         g0, g1 = problem.sample_gradients(x)
         assert np.allclose(e, (g0 - g1) / 2.0, atol=1e-14)
 
@@ -195,7 +200,7 @@ class TestMakeError:
         problem = random_square_problem(3, samples=7, features=4)
         x = np.random.default_rng(9).standard_normal(4)
         model = IncrementalBatchError(ExplicitSchedule((3,)), selection="prefix")
-        e = draw_error(model, problem, x, 1, np.random.default_rng(0))
+        e = batch_error(model, problem, x, np.random.default_rng(0))
         batch_mean = problem.sample_gradients(x)[:3].mean(axis=0)
         assert np.allclose(problem.gradient(x) + e, batch_mean, atol=1e-12)
 
@@ -206,15 +211,15 @@ class TestMakeError:
         x = np.random.default_rng(2).standard_normal(3)
         model = IncrementalBatchError(ExplicitSchedule((11,)), selection="uniform")
         for seed in range(5):
-            e = draw_error(model, problem, x, 1, np.random.default_rng(seed))
+            e = batch_error(model, problem, x, np.random.default_rng(seed))
             assert np.array_equal(e, np.zeros(3))
 
     def test_uniform_selection_depends_on_rng(self):
         problem = random_square_problem(8, samples=12, features=3)
         x = np.ones(3)
         model = IncrementalBatchError(ExplicitSchedule((4,)), selection="uniform")
-        repeat = [draw_error(model, problem, x, 1, np.random.default_rng(7)) for _ in range(2)]
-        other = draw_error(model, problem, x, 1, np.random.default_rng(8))
+        repeat = [batch_error(model, problem, x, np.random.default_rng(7)) for _ in range(2)]
+        other = batch_error(model, problem, x, np.random.default_rng(8))
         assert np.array_equal(repeat[0], repeat[1])
         assert not np.array_equal(repeat[0], other)
 
@@ -577,18 +582,29 @@ def test_batch_forms_agree_like_allclose(entries):
         assert _forms_agree(a, b) == np.allclose(a, b, rtol=0.0, atol=_BATCH_FORM_ATOL)
 
 
+class FixedDraw:
+    """Stands in for a seed's generator: every draw leaves out ``left_out``."""
+
+    def __init__(self, left_out):
+        self.left_out = np.array(left_out)
+
+    def choice(self, *args, **kwargs):
+        return self.left_out
+
+
 def test_batch_error_raises_when_the_forms_disagree():
     problem = random_square_problem(7, samples=12, features=3)
-    _, slopes, g = problem.evaluate(np.ones(3))
-    left_out = np.arange(5, 12)
-    _batch_error(problem.features, slopes, g, left_out)
+    _, slopes, g = problem.evaluate(np.ones((1, 3)))
+    prefix = IncrementalBatchError(ExplicitSchedule((5,)), selection="prefix")  # leaves out rows 5 to 11
+    _batch_errors(prefix, problem, slopes, g, 0, [None], [0])
     with pytest.raises(ArithmeticError, match="disagree"):
-        _batch_error(problem.features, slopes, g + 1e-9, left_out)
+        _batch_errors(prefix, problem, slopes, g + 1e-9, 0, [None], [0])
     # a repeated left-out row is masked once but counted twice, so the
     # batch sums the two forms imply differ by that row's gradient
-    _batch_error(problem.features, slopes, g, np.array([3, 8, 10]))
+    uniform = IncrementalBatchError(ExplicitSchedule((9,)), selection="uniform")
+    _batch_errors(uniform, problem, slopes, g, 0, [FixedDraw([3, 8, 10])], [0])
     with pytest.raises(ArithmeticError, match="disagree"):
-        _batch_error(problem.features, slopes, g, np.array([3, 8, 3]))
+        _batch_errors(uniform, problem, slopes, g, 0, [FixedDraw([3, 8, 3])], [0])
 
 
 @pytest.mark.parametrize("selection", ["prefix", "uniform"])
@@ -607,24 +623,43 @@ def test_small_batches_of_many_rows_pass_the_forms_check(selection):
 
 
 class GradientOverride(ComposedProblem):
-    """A problem whose ``evaluate`` returns ``gradient`` in place of the true
+    """A problem whose ``evaluate`` returns ``value`` in place of the true
     gradient of stack row ``row`` on its call number ``at`` (0-based), which
     ``run_batch`` makes at iterate ``at``."""
 
-    def __init__(self, problem, at, gradient, row):
+    def __init__(self, problem, at, value, row):
         super().__init__(problem.features, problem.labels, problem.loss)
         object.__setattr__(self, "at", at)
-        object.__setattr__(self, "gradient_value", np.asarray(gradient, dtype=float))
+        object.__setattr__(self, "value", np.asarray(value, dtype=float))
         object.__setattr__(self, "row", row)
         object.__setattr__(self, "calls", 0)
 
-    def evaluate(self, x):
-        f, slopes, g = super().evaluate(x)
+    def poison(self, f, g):
+        g[self.row] = self.value
+
+    def evaluate(self, x, out=None):
+        f, slopes, g = super().evaluate(x, out)
         call = self.calls
         object.__setattr__(self, "calls", call + 1)
         if call == self.at:
-            g[self.row] = self.gradient_value
+            self.poison(f, g)
         return f, slopes, g
+
+
+class GradientShift(GradientOverride):
+    """Adds ``value`` to row ``row``'s gradient at call ``at``, and 1e-6 to
+    every later row's, so that the later rows disagree more."""
+
+    def poison(self, f, g):
+        g[self.row] += self.value
+        g[self.row + 1:] += 1e-6
+
+
+class ObjectiveOverride(GradientOverride):
+    """Sets every row's objective value to ``value`` at call ``at``."""
+
+    def poison(self, f, g):
+        f[:] = self.value
 
 
 # (seeds of the stack, position of the poisoned row): alone, first of
@@ -661,6 +696,37 @@ class TestFiniteness:
             with np.errstate(over="ignore"), pytest.raises(DivergedError) as excinfo:
                 run_batch(GradientOverride(problem, 2, huge, row), ZeroError(), starts, 6, seeds)
             assert (excinfo.value.iteration, excinfo.value.seed) == (3, seeds[row])
+
+
+class TestStackedChecks:
+    """The checks over a whole stack blame the row that fails them."""
+
+    def test_forms_check_names_the_first_failing_seed_and_its_own_difference(self):
+        problem = random_square_problem(53, samples=12, features=3)
+        model = IncrementalBatchError(ExplicitSchedule((6, 8, 10)), selection="uniform")
+        for seeds, row in POISONED_ROWS:
+            shifted = GradientShift(problem, 2, 1e-9, row)
+            with pytest.raises(ArithmeticError) as excinfo:
+                run_batch(shifted, model, np.zeros((len(seeds), 3)), 6, seeds)
+            message = str(excinfo.value)
+            match = re.fullmatch(rf"seed {seeds[row]}: at step 2, batch-error forms disagree by up to (\S+),"
+                                 r" beyond 1e-12", message)
+            assert match, message
+            # the shift moves the two forms apart by 1e-9, the later rows' by 1e-6
+            assert float(match.group(1)) == pytest.approx(1e-9, rel=1e-3), message
+
+    def test_finite_stack_whose_sum_overflows_runs_to_the_end(self):
+        # every f and g . g is finite, but the f of the three rows add up
+        # beyond the float range: nothing diverged, so the run goes on
+        problem = random_square_problem(52, samples=8, features=3)
+        seeds, starts = [0, 4, 2], np.zeros((3, 3))
+        clean = run_batch(problem, ZeroError(), starts, 6, seeds)
+        trajs = run_batch(ObjectiveOverride(problem, 3, 1e308, 0), ZeroError(), starts, 6, seeds)
+        for traj, ref in zip(trajs, clean):
+            assert traj.fs[3] == 1e308
+            assert np.array_equal(np.delete(traj.fs, 3), np.delete(ref.fs, 3))
+            assert np.array_equal(traj.xs, ref.xs)
+            assert np.array_equal(traj.grad_norms, ref.grad_norms)
 
 
 class TestRun:
