@@ -40,7 +40,6 @@ from .diagnostics import (
     verify_iter_bounds,
 )
 from .engine import (
-    DivergedError,
     ExplicitSchedule,
     GeometricNorms,
     GeometricResidualSchedule,
@@ -50,7 +49,6 @@ from .engine import (
     SyntheticError,
     Trajectory,
     ZeroError,
-    expected_sq_error,
     run,
     run_batch,
 )
@@ -66,7 +64,6 @@ __all__ = [
     "CertificationError",
     "ComposedProblem",
     "DatasetSpec",
-    "DivergedError",
     "ExperimentConfig",
     "ExplicitSchedule",
     "ExponentFit",
@@ -99,7 +96,6 @@ __all__ = [
     "envelope_check",
     "error_bound_ratios",
     "estimate_tau",
-    "expected_sq_error",
     "find_mu_delta",
     "fit_linear_rate",
     "fit_sublinear_exponent",

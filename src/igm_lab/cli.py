@@ -2,16 +2,18 @@
 
 Subcommands:
 
-* ``run``      execute one experiment config (single- or multi-seed),
-               writing per-seed trajectory CSVs, verdict JSONs, the
-               optimality certificate, and an aggregate JSON.
+* ``run``      execute one experiment config (single- or multi-seed):
+               ``execute`` computes every seed, then ``write_run`` writes
+               per-seed trajectory CSVs and verdict JSONs, the optimality
+               certificate, and an aggregate JSON.
 * ``sweep``    run a config repeatedly while varying one dotted config
                path, and print a comparison table.
 * ``generate`` materialize a generator spec into a dataset CSV.
 * ``certify``  compute and save the optimality certificate of a dataset.
 
 Exit codes: 0 pass, 1 usage or I/O error, 2 verification failure (or a
-diverged run, or a failed batch-error check), 3 certification failure.
+diverged run, or a failed batch-error check, which the seed's verdict
+names), 3 certification failure (``certification_failure.json`` says why).
 The ``IGM_LAB_SEED`` environment variable overrides config seeds with a
 single seed, for smoke tests.
 """
@@ -22,8 +24,10 @@ import argparse
 import copy
 import itertools
 import json
+import math
 import os
 import sys
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
 
@@ -36,9 +40,9 @@ from .datagen import (
     load_problem,
     save_problem,
 )
-from .diagnostics import FAMILIES, ExponentFit, RateFit, RateReport
+from .diagnostics import FAMILIES, CensusEntry, ExponentFit, RateFit, RateReport
 from .diagnostics import aggregate_expectation, check_ls_expected_bound, diagnose
-from .engine import DivergedError, IncrementalBatchError, Trajectory, check_fits, run, run_batch
+from .engine import IncrementalBatchError, Trajectory, check_fits, run, run_batch  # noqa: F401 (perfbench traces run)
 from .optimum import CertificationError, OptimalSetCertificate, attach_distances, certify
 from .problems import SQUARE, ComposedProblem
 
@@ -106,21 +110,30 @@ def _fits(linear: RateFit | None, sublinear: ExponentFit | None) -> dict[str, An
     }
 
 
-def verdict_payload(config_digest: str, seed: int, report: RateReport) -> dict[str, Any]:
-    violations = {}
-    for key in VIOLATION_KEYS:
-        entry = report.census.get(key)
-        violations[key] = None if entry is None else entry.violations
+def _census_fields(entry: CensusEntry) -> dict[str, Any]:
+    # JSON has no infinity: a family that checked nothing has no worst slack
+    slack = entry.worst_slack if math.isfinite(entry.worst_slack) else None
+    return {"checked": entry.checked, "violations": entry.violations, "worst_slack": slack,
+            "worst_index": entry.worst_index}
+
+
+def verdict_payload(config_digest: str, traj: Trajectory, report: RateReport | None) -> dict[str, Any]:
+    """One seed's verdict; a failed run has no report, and its ``failure``
+    says what ended it."""
+    report = report or RateReport({}, None, None, None, None, None, None, None)
+    census = {key: report.census.get(key) for key in VIOLATION_KEYS}
     return {
         "config_digest": config_digest,
-        "seed": seed,
-        "violations": violations,
+        "seed": traj.seed,
+        "violations": {key: None if entry is None else entry.violations for key, entry in census.items()},
         "tau_hat": report.tau_hat,
         "mu": report.mu,
         "delta": report.delta,
         "lambda1_hat": report.lambda1,
         "lambda2_hat": report.lambda2,
         **_fits(report.linear_fit, report.sublinear_fit),
+        "census": {key: None if entry is None else _census_fields(entry) for key, entry in census.items()},
+        "failure": traj.failure,
     }
 
 
@@ -132,77 +145,77 @@ def _write_json(path: Path, payload: dict[str, Any]) -> None:
 # execution
 
 
+@dataclass(eq=False)
+class RunResult:
+    """One config's certificate (or the ``error`` that stopped certification), a trajectory
+    and a report per seed (None where the run failed), and the aggregate payload, if any."""
+
+    config: ExperimentConfig
+    cert: OptimalSetCertificate | None
+    error: str | None = None
+    trajectories: list[Trajectory] = field(default_factory=list)
+    reports: list[RateReport | None] = field(default_factory=list)
+    aggregate: dict[str, Any] | None = None
+
+
+def execute(config: ExperimentConfig) -> RunResult:
+    """Certify one config's problem, run all its seeds as one stack, and
+    diagnose each seed that ran to the end. Writes nothing."""
+    problem = config.build_problem()
+    check_fits(config.error_model, problem)
+    try:
+        cert = certify(problem)
+    except CertificationError as exc:
+        return RunResult(config, None, str(exc))
+    starts = [config.initial_point(problem, seed) for seed in config.seeds]
+    trajectories = run_batch(problem, config.error_model, starts, config.iterations, config.seeds)
+    reports = [diagnose(problem, cert, attach_distances(cert, problem, traj), config.tail_fraction)
+               if traj.failure is None else None for traj in trajectories]
+    aggregate = None if None in reports else _aggregate_payload(config, problem, cert, trajectories)
+    return RunResult(config, cert, None, trajectories, reports, aggregate)
+
+
 def _fmt(value: float | None) -> str:
     return "-" if value is None else f"{value:.6g}"
 
 
-def _execute(config: ExperimentConfig, out_dir: Path) -> tuple[int, dict[str, Any]]:
-    """Run one config into ``out_dir``; returns (exit code, summary row)."""
-    problem = config.build_problem()
-    check_fits(config.error_model, problem)
+def write_run(result: RunResult, out_dir: Path) -> tuple[int, dict[str, Any]]:
+    """Write one computed config into ``out_dir``, with a line per seed on stdout (a failed
+    seed's failure on stderr); returns (exit code, summary row)."""
     out_dir.mkdir(parents=True, exist_ok=True)
-    try:
-        cert = certify(problem)
-    except CertificationError as exc:
-        print(f"certification failed: {exc}", file=sys.stderr)
-        return EXIT_CERTIFICATION, {"error": str(exc)}
+    config, cert = result.config, result.cert
+    if cert is None:
+        _write_json(out_dir / "certification_failure.json", {"error": result.error})
+        print(f"certification failed: {result.error}", file=sys.stderr)
+        return EXIT_CERTIFICATION, {"error": result.error}
     (out_dir / "certificate.json").write_text(cert.to_json() + "\n")
-    model = config.error_model
-    digest = config.digest
+    for traj, report in zip(result.trajectories, result.reports):
+        if report is None:
+            print(traj.failure, file=sys.stderr)
+        else:
+            write_trajectory_csv(out_dir / f"trajectory_seed{traj.seed}.csv", traj, cert.f_min)
+            linear = report.linear_fit
+            print(f"seed {traj.seed}: violations={report.total_violations} mu={_fmt(report.mu)}"
+                  f" delta={_fmt(report.delta)} c={_fmt(linear.rate if linear else None)}"
+                  f" r2={_fmt(linear.r_squared if linear else None)}")
+        _write_json(out_dir / f"verdict_seed{traj.seed}.json", verdict_payload(config.digest, traj, report))
+    if None in result.reports:
+        return EXIT_VERIFICATION, {"error": "; ".join(t.failure for t in result.trajectories if t.failure)}
 
-    starts = [config.initial_point(problem, seed) for seed in config.seeds]
-    try:
-        batch = run_batch(problem, model, starts, config.iterations, config.seeds)
-    except (DivergedError, ArithmeticError):
-        batch = None  # rerun seed by seed: the seeds before the first failing one keep their files
-    trajectories: list[Trajectory] = []
-    reports: list[RateReport] = []
-    failed = False
-    for i, seed in enumerate(config.seeds):
-        try:
-            traj = batch[i] if batch is not None else run(problem, model, starts[i], config.iterations, seed=seed)
-        except DivergedError as exc:
-            print(f"seed {seed}: diverged at iteration {exc.iteration}", file=sys.stderr)
-            return EXIT_VERIFICATION, {"error": f"diverged at iteration {exc.iteration}"}
-        except ArithmeticError as exc:
-            print(exc, file=sys.stderr)
-            return EXIT_VERIFICATION, {"error": str(exc)}
-        attach_distances(cert, problem, traj)
-        write_trajectory_csv(out_dir / f"trajectory_seed{seed}.csv", traj, cert.f_min)
-        report = diagnose(problem, cert, traj, config.tail_fraction)
-        _write_json(out_dir / f"verdict_seed{seed}.json", verdict_payload(digest, seed, report))
-        trajectories.append(traj)
-        reports.append(report)
-        if not report.passed:
-            failed = True
-        linear = report.linear_fit
-        print(
-            f"seed {seed}: violations={report.total_violations} mu={_fmt(report.mu)}"
-            f" delta={_fmt(report.delta)} c={_fmt(linear.rate if linear else None)}"
-            f" r2={_fmt(linear.r_squared if linear else None)}"
-        )
-
-    aggregate = _aggregate_payload(config, problem, cert, trajectories)
-    if aggregate is not None:
-        _write_json(out_dir / "aggregate.json", aggregate)
-        bound = aggregate.get("ls_expected_bound")
-        if bound is not None and bound["violations"] > 0:
-            failed = True
-
-    summary = _summary_row(config, reports, aggregate)
+    failed = not all(report.passed for report in result.reports)
+    if result.aggregate is not None:
+        _write_json(out_dir / "aggregate.json", result.aggregate)
+        bound = result.aggregate["ls_expected_bound"]
+        failed = failed or (bound is not None and bound["violations"] > 0)
     if config.verify_enabled and failed:
         print("verification: fail", file=sys.stderr)
-        return EXIT_VERIFICATION, summary
+        return EXIT_VERIFICATION, _summary_row(result)
     print("verification: pass" if config.verify_enabled else "verification: skipped")
-    return EXIT_OK, summary
+    return EXIT_OK, _summary_row(result)
 
 
-def _aggregate_payload(
-    config: ExperimentConfig,
-    problem: ComposedProblem,
-    cert: OptimalSetCertificate,
-    trajectories: list[Trajectory],
-) -> dict[str, Any] | None:
+def _aggregate_payload(config: ExperimentConfig, problem: ComposedProblem, cert: OptimalSetCertificate,
+                       trajectories: list[Trajectory]) -> dict[str, Any] | None:
     if len(trajectories) < 2:
         return None
     report = aggregate_expectation(trajectories, cert, config.tail_fraction)
@@ -225,19 +238,15 @@ def _aggregate_payload(
     return payload
 
 
-def _summary_row(
-    config: ExperimentConfig,
-    reports: list[RateReport],
-    aggregate: dict[str, Any] | None,
-) -> dict[str, Any]:
-    first = reports[0]
+def _summary_row(result: RunResult) -> dict[str, Any]:
+    first = result.reports[0]
     # each fit on the mean gap where it exists, else the first seed's
     fits = _fits(first.linear_fit, first.sublinear_fit)
-    if aggregate:
-        fits = {key: aggregate[key] or fit for key, fit in fits.items()}
+    if result.aggregate:
+        fits = {key: result.aggregate[key] or fit for key, fit in fits.items()}
     return {
-        "seeds": len(config.seeds),
-        "violations": sum(r.total_violations for r in reports),
+        "seeds": len(result.config.seeds),
+        "violations": sum(r.total_violations for r in result.reports),
         "mu": first.mu,
         "delta": first.delta,
         **fits,
@@ -304,8 +313,7 @@ def _parse_axis_value(text: str) -> Any:
 def cmd_run(args: argparse.Namespace) -> int:
     raw = _apply_overrides(_read_json(args.config), args.seeds, args.no_verify)
     config = parse_config(raw)
-    out_dir = Path(args.out or config.output_dir or "igm-out")
-    code, _ = _execute(config, out_dir)
+    code, _ = write_run(execute(config), Path(args.out or config.output_dir or "igm-out"))
     return code
 
 
@@ -324,7 +332,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     rows = []
     worst = EXIT_OK
     for value, config in zip(values, configs):
-        code, summary = _execute(config, out_root / f"{args.axis.replace('.', '_')}={value}")
+        code, summary = write_run(execute(config), out_root / f"{args.axis.replace('.', '_')}={value}")
         worst = max(worst, code)
         rows.append({"value": value, "exit": code, **summary})
     _write_json(out_root / "sweep.json", {"axis": args.axis, "rows": rows})

@@ -395,6 +395,9 @@ class AggregateReport:
 
 def aggregate_expectation(trajs, cert: OptimalSetCertificate, tail_fraction: float = 0.5) -> AggregateReport:
     """Average trajectories from independent seeds and fit the mean gap."""
+    failure = next((t.failure for t in trajs if t.failure is not None), None)
+    if failure is not None:
+        raise ValueError(f"no verdict for a failed run: {failure}")
     if len(trajs) < 2:
         raise ValueError("need at least 2 trajectories")
     length = trajs[0].fs.shape[0]
@@ -435,7 +438,9 @@ class RateReport:
 
 
 def diagnose(problem: ComposedProblem, cert: OptimalSetCertificate, traj, tail_fraction: float = 0.5) -> RateReport:
-    """Run every applicable check and fit on one trajectory."""
+    """Run every applicable check and fit on one trajectory that ran to the end."""
+    if traj.failure is not None:
+        raise ValueError(f"no verdict for a failed run: {traj.failure}")
     constants = problem.constants
     census: dict[str, CensusEntry] = {}
     census["descent"] = verify_descent(traj, constants)

@@ -32,9 +32,9 @@ the gathered product over its left-out rows, and one masked BLAS pass over
 all M rows into a reused scratch row. The rest runs once over the stack:
 the batch size, both batch-error forms, their agreement check, the chosen
 error, the update, and the finiteness check. Each check is one reduction
-over the stack, and rows are examined one by one only when it fails. Norms
-stay squared in the loop and are rooted once at the end; the error norms
-are taken from the stored errors after the loop.
+over the stack; only when it fails are the rows examined, and a failing row
+leaves the stack. Norms stay squared in the loop and are rooted once at the
+end; the error norms are taken from the stored errors after the loop.
 
 Runs are reproducible bit for bit, and the step kernel keeps the bits fixed:
 every sum adds the same values in the same order, and every norm is
@@ -60,15 +60,6 @@ from .problems import ComposedProblem
 
 # Agreement tolerance between the two algebraic forms of the batch error.
 _BATCH_FORM_ATOL = 1e-12
-
-
-class DivergedError(RuntimeError):
-    """Iteration produced a non-finite objective, gradient, or point."""
-
-    def __init__(self, iteration: int, seed: int):
-        super().__init__(f"seed {seed}: iterate diverged at iteration {iteration}")
-        self.iteration = iteration
-        self.seed = seed
 
 
 # ---------------------------------------------------------------------------
@@ -240,8 +231,8 @@ def _forms_agree(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _batch_errors(model: IncrementalBatchError, problem: ComposedProblem, slopes: np.ndarray, g: np.ndarray,
-                  step: int, rngs, seeds) -> tuple[np.ndarray, int]:
-    """Batch errors (S, n) of a stack at 0-based ``step``, and the batch size.
+                  step: int, rngs) -> tuple[np.ndarray, int, dict[int, str]]:
+    """A stack's batch errors (S, n) at 0-based ``step``, the batch size, and its failed rows.
 
     Row i's batch-mean gradient minus its full gradient ``g[i]``, the
     per-sample gradients being ``slopes[i, :, None] * features``, for the
@@ -254,8 +245,8 @@ def _batch_errors(model: IncrementalBatchError, problem: ComposedProblem, slopes
     and S_B / s - g for r > s, whose rounding does not grow with r / s.
     The direct form must agree with (r / (M s)) S_B - S_R / M to
     _BATCH_FORM_ATOL per coordinate; the two differ by (S_B + S_R - M g) / M,
-    so a repeated left-out index or a ``g`` off the mean breaks it, and the
-    first such row names its seed, the step and its own largest difference."""
+    so a repeated left-out index or a ``g`` off the mean breaks it, and each
+    such row's message names the step and its own largest difference."""
     features = problem.features
     m = problem.n_samples
     size = model.schedule.size_at(step, m)
@@ -274,13 +265,12 @@ def _batch_errors(model: IncrementalBatchError, problem: ComposedProblem, slopes
     other = (r / (m * size)) * batch_sums - left_sums / m
     # one reduction passes a stack whose largest difference is within the
     # tolerance (a NaN fails it); only then are the rows examined one by one
+    disagree = {}
     if not np.maximum.reduce(np.abs(other - direct), axis=None) <= _BATCH_FORM_ATOL:
-        agree = _forms_agree(other, direct)
-        if not agree.all():
-            i = int(agree.argmin())
-            raise ArithmeticError(f"seed {seeds[i]}: at step {step}, batch-error forms disagree by up to"
-                                  f" {np.max(np.abs(other[i] - direct[i])):.3g}, beyond {_BATCH_FORM_ATOL:g}")
-    return ((r * g - left_sums) / size if r <= size else direct), size
+        for i in np.flatnonzero(~_forms_agree(other, direct)).tolist():
+            disagree[i] = (f"at step {step}, batch-error forms disagree by up to"
+                           f" {np.max(np.abs(other[i] - direct[i])):.3g}, beyond {_BATCH_FORM_ATOL:g}")
+    return ((r * g - left_sums) / size if r <= size else direct), size, disagree
 
 
 def _dots(v: np.ndarray) -> np.ndarray:
@@ -307,20 +297,6 @@ def _fill_errors(model: ZeroError | SyntheticError, errors: np.ndarray, rngs: li
     errors *= np.array([model.norms.norm_at(k) for k in range(1, errors.shape[1] + 1)])[:, None]
 
 
-def expected_sq_error(problem: ComposedProblem, x, batch_size: int) -> float:
-    """Expected squared batch-error norm under uniform sampling without
-    replacement of ``batch_size`` samples."""
-    m = problem.n_samples
-    if not 1 <= batch_size <= m:
-        raise ValueError(f"batch_size must lie in [1, {m}]")
-    if m == 1:
-        return 0.0
-    grads = problem.sample_gradients(x)
-    spread = grads - grads.mean(axis=0)
-    total = float(np.sum(spread**2))
-    return ((m - batch_size) / (m * batch_size)) * total / (m - 1)
-
-
 # ---------------------------------------------------------------------------
 # trajectories
 
@@ -333,6 +309,7 @@ class Trajectory:
     ``dists`` once attached) have K+1 entries for a K-step run, while
     ``errors``, ``err_norms``, ``step_norms``, and ``batch_sizes`` have K
     entries; entry k of those describes the step from x_k to x_{k+1}.
+    A run that failed at iterate x_k stops there, and ``failure`` says why.
     """
 
     xs: np.ndarray
@@ -344,6 +321,7 @@ class Trajectory:
     batch_sizes: np.ndarray | None
     seed: int
     dists: np.ndarray | None = field(default=None)
+    failure: str | None = None
 
     @property
     def iterations(self) -> int:
@@ -378,13 +356,9 @@ def run_batch(problem: ComposedProblem, model: ErrorModel, starts, iterations: i
     The S trajectories, in the order of ``seeds``. Each holds, bit for bit,
     what a stack of that seed alone gives.
 
-    Raises
-    ------
-    DivergedError
-        If any objective value, gradient, or iterate stops being finite: at
-        the first iteration where one does, for the first such seed.
-    ArithmeticError
-        If the two forms of a batch error disagree (see ``_batch_errors``).
+    A seed stops at x_k, with its ``failure`` named, where f or the gradient
+    is not finite or the batch-error forms of step k disagree (see
+    ``_batch_errors``); it leaves the stack, and the others keep their bits.
     """
     if iterations < 1:
         raise ValueError("iterations must be at least 1")
@@ -396,43 +370,59 @@ def run_batch(problem: ComposedProblem, model: ErrorModel, starts, iterations: i
     check_fits(model, problem)
     rngs = [np.random.default_rng(seed) for seed in seeds]
     L = problem.constants.composed
-    xs = np.empty((S, K + 1, n))
-    fs = np.empty((S, K + 1))
-    grad_norms = np.empty((S, K + 1))
-    errors = np.empty((S, K, n))
-    step_norms = np.empty((S, K))
+    # zeroed: the roots taken at the end also pass over what failed runs never reached
+    xs = np.zeros((S, K + 1, n))
+    fs = np.zeros((S, K + 1))
+    grad_norms = np.zeros((S, K + 1))
+    errors = np.zeros((S, K, n))
+    step_norms = np.zeros((S, K))
     batched = isinstance(model, IncrementalBatchError)
-    batch_sizes = np.empty((S, K), dtype=np.int64) if batched else [None] * S
+    batch_sizes = np.zeros((S, K), dtype=np.int64) if batched else None
     if not batched:
         _fill_errors(model, errors, rngs)
     # evaluate's margins and slopes, written anew at every iterate
     buffers = (np.empty((S, problem.n_samples)), np.empty((S, problem.n_samples)))
+    ends, failures = [K] * S, [None] * S  # each run's last iterate, and what ended it early
+    at = slice(None)  # the records of the stack's rows; a view until a run fails
+
+    def drop(failed: dict[int, str], k: int) -> None:
+        """End the runs of stack rows ``failed`` at iterate k, and take them out of the stack."""
+        nonlocal x, g, slopes, rngs, at, buffers
+        live = np.arange(S)[at]
+        for i, message in failed.items():
+            ends[live[i]], failures[live[i]] = k, f"seed {seeds[live[i]]}: {message}"
+        keep = [i for i in range(live.size) if i not in failed]
+        x, g, slopes, at = x[keep], g[keep], slopes[keep], live[keep]
+        rngs, buffers = [rngs[i] for i in keep], tuple(buffer[:at.size] for buffer in buffers)
 
     for k in range(K + 1):
         f, slopes, g = problem.evaluate(x, buffers)
         gg = _dots(g)
+        xs[at, k] = x
+        fs[at, k] = f
+        grad_norms[at, k] = gg
         # one reduction, which cannot overflow, passes a stack with every
         # |f| and g . g finite; only then are the rows examined one by one.
         # A gradient of finite entries passes even where g . g overflows
         if not math.isfinite(np.maximum.reduce(np.maximum(np.abs(f), gg))):
             finite = np.isfinite(f) & (np.isfinite(gg) | np.isfinite(g).all(axis=1))
             if not finite.all():
-                raise DivergedError(k, seeds[int(finite.argmin())])
-        xs[:, k] = x
-        fs[:, k] = f
-        grad_norms[:, k] = gg
-        if k == K:
+                drop(dict.fromkeys(np.flatnonzero(~finite).tolist(), f"diverged at iteration {k}"), k)
+        if batched and k < K and len(x):
+            errors[at, k], batch_sizes[at, k], disagree = _batch_errors(model, problem, slopes, g, k, rngs)
+            if disagree:
+                drop(disagree, k)
+        if k == K or not len(x):
             break
-        if batched:
-            errors[:, k], batch_sizes[:, k] = _batch_errors(model, problem, slopes, g, k, rngs, seeds)
-        step = g + errors[:, k]
+        step = g + errors[at, k]
         step /= L
-        step_norms[:, k] = _dots(step)
+        step_norms[at, k] = _dots(step)
         x = x - step
     # the loop keeps squared norms; each root is taken once, at the end
     np.sqrt(grad_norms, out=grad_norms)
     np.sqrt(step_norms, out=step_norms)
     err_norms = np.sqrt(_dots(errors))
 
-    return [Trajectory(xs[i], fs[i], grad_norms[i], errors[i], err_norms[i], step_norms[i], batch_sizes[i], seed)
-            for i, seed in enumerate(seeds)]
+    return [Trajectory(xs[i, :k + 1], fs[i, :k + 1], grad_norms[i, :k + 1], errors[i, :k], err_norms[i, :k],
+                       step_norms[i, :k], None if batch_sizes is None else batch_sizes[i, :k], seed, failure=failure)
+            for i, (seed, k, failure) in enumerate(zip(seeds, ends, failures))]

@@ -1,4 +1,5 @@
-"""Shared fixtures: two closed-form tiny problems and a cross-model battery."""
+"""Shared fixtures: two closed-form tiny problems and a cross-model battery;
+and the expected squared batch error, a reference for batch-error tests."""
 
 from __future__ import annotations
 
@@ -30,6 +31,21 @@ from igm_lab import (
     generate_logistic,
     run_batch,
 )
+
+
+def expected_sq_error(problem: ComposedProblem, x, batch_size: int) -> float:
+    """Expected squared batch-error norm under uniform sampling without
+    replacement of ``batch_size`` samples: the sample variance of the
+    per-sample gradients times (M - s) / (M s)."""
+    m = problem.n_samples
+    if not 1 <= batch_size <= m:
+        raise ValueError(f"batch_size must lie in [1, {m}]")
+    if m == 1:
+        return 0.0
+    grads = problem.sample_gradients(x)
+    spread = grads - grads.mean(axis=0)
+    total = float(np.sum(spread**2))
+    return ((m - batch_size) / (m * batch_size)) * total / (m - 1)
 
 
 @pytest.fixture(scope="session")

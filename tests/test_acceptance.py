@@ -14,6 +14,8 @@ import igm_lab as lab
 from igm_lab.cli import main
 from igm_lab.engine import _batch_errors
 
+from conftest import expected_sq_error
+
 GAP_TOLERANCE = 1e-10
 
 
@@ -214,7 +216,7 @@ def test_criterion_09_sampling_variance_identity():
                 float(np.sum((grads[list(batch)].mean(axis=0) - full) ** 2))
                 for batch in itertools.combinations(range(m), s)
             ]
-            worst = max(worst, abs(float(np.mean(draws)) - lab.expected_sq_error(problem, x, s)))
+            worst = max(worst, abs(float(np.mean(draws)) - expected_sq_error(problem, x, s)))
 
     big = lab.generate_least_squares(lab.LeastSquaresSpec(200, 6, 4, 0.1, seed=6))
     x = np.random.default_rng(31).standard_normal(6)
@@ -223,9 +225,9 @@ def test_criterion_09_sampling_variance_identity():
     # left-out sets in turn from one generator
     draw_rng = np.random.default_rng(32)
     _, slopes, g = big.evaluate(np.tile(x, (2000, 1)))
-    errors = _batch_errors(model, big, slopes, g, 0, [draw_rng] * 2000, range(2000))[0]
+    errors = _batch_errors(model, big, slopes, g, 0, [draw_rng] * 2000)[0]
     samples = np.array([float(np.sum(e**2)) for e in errors])
-    expected = lab.expected_sq_error(big, x, 60)
+    expected = expected_sq_error(big, x, 60)
     stderr = float(samples.std(ddof=1) / np.sqrt(samples.size))
     deviation = abs(float(samples.mean()) - expected)
     ok = worst <= 1e-10 and deviation <= 3.0 * stderr

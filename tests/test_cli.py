@@ -104,8 +104,13 @@ class TestRunCommand:
             "lambda2_hat",
             "linear_fit",
             "sublinear_fit",
+            "census",
+            "failure",
         }
+        # the keys older verdicts had keep their places; the new ones follow
+        assert list(verdict)[-2:] == ["census", "failure"]
         assert verdict["seed"] == 0
+        assert verdict["failure"] is None
         assert set(verdict["violations"]) == {
             "descent",
             "iter_bound_a",
@@ -120,6 +125,27 @@ class TestRunCommand:
         # no batches were drawn, so the batch-bound entries are null
         assert verdict["violations"]["ls_error_bound"] is None
         assert verdict["mu"] == 0.5
+        # the census says where each family was worst, and by how much
+        census = verdict["census"]
+        assert list(census) == list(verdict["violations"])
+        assert list(census["descent"]) == ["checked", "violations", "worst_slack", "worst_index"]
+        assert census["descent"]["checked"] == 5 and census["descent"]["violations"] == 0
+        assert census["descent"]["worst_slack"] > 0 and 0 <= census["descent"]["worst_index"] < 5
+        assert census["ls_error_bound"] is None
+
+    def test_census_of_a_family_that_checked_nothing_has_no_infinite_slack(self, tiny_setup):
+        # a batch run whose every batch holds under half the rows checks no
+        # step of ls_error_bound; its worst slack is null, not Infinity
+        raw, config, tmp_path = tiny_setup
+        raw["problem"] = {"kind": "least_squares", "samples": 10, "features": 3, "rank": 3, "noise": 0.1, "seed": 1}
+        raw["error_model"] = {"kind": "batch", "schedule": {"kind": "explicit", "sizes": [1, 4]}}
+        config.write_text(json.dumps(raw))
+        out = tmp_path / "out"
+        main(["run", "--config", str(config), "--out", str(out), "--no-verify"])
+        text = (out / "verdict_seed0.json").read_text()
+        assert "Infinity" not in text
+        entry = json.loads(text)["census"]["ls_error_bound"]
+        assert entry == {"checked": 0, "violations": 0, "worst_slack": None, "worst_index": None}
 
     def test_failed_seed_shows_its_violation(self, tmp_path):
         # seed 3 of the README problem fails only the iterate envelope; its
@@ -164,8 +190,12 @@ class TestRunCommand:
             raise CertificationError("near-separable dataset")
 
         monkeypatch.setattr(igm_lab.cli, "certify", refuse)
-        code = main(["run", "--config", str(config), "--out", str(tmp_path / "out")])
+        out = tmp_path / "out"
+        code = main(["run", "--config", str(config), "--out", str(out)])
         assert code == 3
+        # the exit is explained in the one file the run writes
+        assert [p.name for p in out.iterdir()] == ["certification_failure.json"]
+        assert json.loads((out / "certification_failure.json").read_text()) == {"error": "near-separable dataset"}
 
     def test_seed_env_var_overrides_config(self, tiny_setup, monkeypatch):
         raw, config, tmp_path = tiny_setup
@@ -245,7 +275,7 @@ class TestRunCommand:
     def test_second_seed_diverging_keeps_the_first_seeds_files(self, tiny_setup, capsys):
         # from a ball of radius 1.5e154, seed 0 starts where f is finite and
         # seed 1 where it overflows: seed 0 runs to the end and writes what
-        # it writes alone, and seed 1 reports its divergence
+        # it writes alone, and seed 1 reports its divergence in its verdict
         raw, _, tmp_path = tiny_setup
         raw = dict(raw, start={"kind": "random_ball", "radius": 1.5e154}, seeds=[0, 1])
         config = tmp_path / "diverging.json"
@@ -258,7 +288,10 @@ class TestRunCommand:
         assert stdout.startswith("seed 0: violations=")
         assert stderr == "seed 1: diverged at iteration 0\n"
         names = ["certificate.json", "trajectory_seed0.csv", "verdict_seed0.json"]
-        assert sorted(p.name for p in (tmp_path / "both").iterdir()) == names
+        assert sorted(p.name for p in (tmp_path / "both").iterdir()) == names + ["verdict_seed1.json"]
+        failed = json.loads((tmp_path / "both" / "verdict_seed1.json").read_text())
+        assert failed["failure"] == "seed 1: diverged at iteration 0"
+        assert failed["mu"] is None and set(failed["violations"].values()) == {None}
         for name in names[:2]:
             assert (tmp_path / "both" / name).read_bytes() == (tmp_path / "alone" / name).read_bytes()
         verdicts = [json.loads((tmp_path / run / names[2]).read_text()) for run in ("both", "alone")]
@@ -269,8 +302,9 @@ class TestRunCommand:
     def test_batch_form_failure_exits_two(self, tmp_path, capsys):
         # at 100 times the scale of unit data the batch-error forms differ by
         # more than their absolute tolerance: every seed fails, seed 1 at step
-        # 1 and seed 0 at step 2. The run names the first seed in config
-        # order, its step and the difference, and exits 2 without a traceback
+        # 1 and seed 0 at step 2. The run names each seed, in config order,
+        # with its step and its difference, writes each seed's verdict with
+        # its failure, and exits 2 without a traceback
         rng = np.random.default_rng(0)
         problem = ComposedProblem(100.0 * rng.standard_normal((2000, 5)), 100.0 * rng.standard_normal(2000), SQUARE)
         data = tmp_path / "scaled.csv"
@@ -287,11 +321,39 @@ class TestRunCommand:
         out = tmp_path / "out"
         assert main(["run", "--config", str(config), "--out", str(out)]) == 2
         stdout, stderr = capsys.readouterr()
-        match = re.fullmatch(r"seed 0: at step 2, batch-error forms disagree by up to (\S+), beyond 1e-12\n", stderr)
-        assert match, stderr
-        assert float(match.group(1)) > 1e-12
+        lines = stderr.splitlines()
+        assert len(lines) == 2, stderr
+        for seed, step, line in zip((0, 1), (2, 1), lines):
+            match = re.fullmatch(rf"seed {seed}: at step {step}, batch-error forms disagree by up to (\S+),"
+                                 r" beyond 1e-12", line)
+            assert match, stderr
+            assert float(match.group(1)) > 1e-12
+            assert json.loads((out / f"verdict_seed{seed}.json").read_text())["failure"] == line
         assert stdout == ""
-        assert [p.name for p in out.iterdir()] == ["certificate.json"]
+        assert sorted(p.name for p in out.iterdir()) == ["certificate.json", "verdict_seed0.json", "verdict_seed1.json"]
+
+    def test_a_diverging_seed_between_two_leaves_the_others_as_they_run_alone(self, tiny_setup, capsys):
+        # seeds 0 and 2 start where f is finite, seed 1 where it overflows:
+        # the run exits 2, every seed gets a verdict, and seeds 0 and 2 write
+        # the bytes they write alone
+        raw, _, tmp_path = tiny_setup
+        raw = dict(raw, start={"kind": "random_ball", "radius": 1.5e154}, seeds=[0, 1, 2])
+        config = tmp_path / "diverging.json"
+        with np.errstate(over="ignore", invalid="ignore"):
+            config.write_text(json.dumps(raw))
+            assert main(["run", "--config", str(config), "--out", str(tmp_path / "all")]) == 2
+            assert capsys.readouterr().err == "seed 1: diverged at iteration 0\n"
+            for seed in (0, 2):
+                config.write_text(json.dumps(dict(raw, seeds=[seed])))
+                main(["run", "--config", str(config), "--out", str(tmp_path / f"alone{seed}")])
+        for seed in (0, 1, 2):
+            verdict = json.loads((tmp_path / "all" / f"verdict_seed{seed}.json").read_text())
+            assert verdict["failure"] == ("seed 1: diverged at iteration 0" if seed == 1 else None)
+        assert not (tmp_path / "all" / "trajectory_seed1.csv").exists()
+        assert not (tmp_path / "all" / "aggregate.json").exists()
+        for seed in (0, 2):
+            name = f"trajectory_seed{seed}.csv"
+            assert (tmp_path / "all" / name).read_bytes() == (tmp_path / f"alone{seed}" / name).read_bytes()
 
 
 class TestUsageErrors:

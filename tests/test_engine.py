@@ -14,7 +14,6 @@ from igm_lab import (
     LOGISTIC,
     SQUARE,
     ComposedProblem,
-    DivergedError,
     ExplicitSchedule,
     GeometricNorms,
     GeometricResidualSchedule,
@@ -24,13 +23,14 @@ from igm_lab import (
     PolynomialResidualSchedule,
     SyntheticError,
     ZeroError,
-    expected_sq_error,
     generate_least_squares,
     run,
     run_batch,
 )
 from igm_lab.engine import _BATCH_FORM_ATOL, _batch_errors, _fill_errors, _forms_agree
 from igm_lab.problems import _sigmoid
+
+from conftest import expected_sq_error
 
 TINY_FEATURES = np.array([[1.0, 0.0], [2.0, 0.0]])
 TINY_LABELS = np.array([1.0, 2.0])
@@ -156,7 +156,7 @@ def fill_errors(model, k, rng, n=2):
 def batch_error(model, problem, x, rng):
     """The error e_1 a run at x would draw from ``rng`` for its step 0."""
     _, slopes, g = problem.evaluate(x[None])
-    return _batch_errors(model, problem, slopes, g, 0, [rng], [0])[0][0]
+    return _batch_errors(model, problem, slopes, g, 0, [rng])[0][0]
 
 
 class TestMakeError:
@@ -592,19 +592,25 @@ class FixedDraw:
         return self.left_out
 
 
-def test_batch_error_raises_when_the_forms_disagree():
+def test_batch_error_reports_the_rows_whose_forms_disagree():
+    # in a stack of a sound row and a broken one, only the broken row is
+    # reported, and the sound row's error is what it is alone
     problem = random_square_problem(7, samples=12, features=3)
-    _, slopes, g = problem.evaluate(np.ones((1, 3)))
+    _, slopes, g = problem.evaluate(np.ones((2, 3)))
     prefix = IncrementalBatchError(ExplicitSchedule((5,)), selection="prefix")  # leaves out rows 5 to 11
-    _batch_errors(prefix, problem, slopes, g, 0, [None], [0])
-    with pytest.raises(ArithmeticError, match="disagree"):
-        _batch_errors(prefix, problem, slopes, g + 1e-9, 0, [None], [0])
+    alone, _, disagree = _batch_errors(prefix, problem, slopes[:1], g[:1], 0, [None])
+    assert disagree == {}
+    errors, _, disagree = _batch_errors(prefix, problem, slopes, g + [[0.0], [1e-9]], 0, [None, None])
+    assert list(disagree) == [1] and "batch-error forms disagree" in disagree[1]
+    assert np.array_equal(errors[0], alone[0])
     # a repeated left-out row is masked once but counted twice, so the
     # batch sums the two forms imply differ by that row's gradient
     uniform = IncrementalBatchError(ExplicitSchedule((9,)), selection="uniform")
-    _batch_errors(uniform, problem, slopes, g, 0, [FixedDraw([3, 8, 10])], [0])
-    with pytest.raises(ArithmeticError, match="disagree"):
-        _batch_errors(uniform, problem, slopes, g, 0, [FixedDraw([3, 8, 3])], [0])
+    alone, _, disagree = _batch_errors(uniform, problem, slopes[:1], g[:1], 0, [FixedDraw([3, 8, 10])])
+    assert disagree == {}
+    errors, _, disagree = _batch_errors(uniform, problem, slopes, g, 0, [FixedDraw([3, 8, 10]), FixedDraw([3, 8, 3])])
+    assert list(disagree) == [1] and disagree[1].startswith("at step 0, batch-error forms disagree")
+    assert np.array_equal(errors[0], alone[0])
 
 
 @pytest.mark.parametrize("selection", ["prefix", "uniform"])
@@ -666,6 +672,33 @@ class ObjectiveOverride(GradientOverride):
 # three, and last of three with its seed out of order
 POISONED_ROWS = [([0], 0), ([0, 4, 2], 0), ([0, 4, 2], 2)]
 
+TRAJECTORY_ARRAYS = ("xs", "fs", "grad_norms", "errors", "err_norms", "step_norms")
+
+
+def assert_stopped_at(traj, clean, k, message):
+    """``traj`` failed at iterate k with ``message``, and holds, bit for bit,
+    what ``clean`` (its run without the fault) computed before the faulty
+    gradient at x_k: the k steps and the iterates up to x_k."""
+    assert traj.failure == message
+    assert traj.iterations == k and traj.xs.shape[0] == k + 1
+    for name in TRAJECTORY_ARRAYS:
+        assert np.array_equal(getattr(traj, name)[:k], getattr(clean, name)[:k]), name
+    assert np.array_equal(traj.xs[k], clean.xs[k])
+
+
+def assert_same_as_without(trajs, failed_rows, problem, model, seeds, iterations):
+    """The rows outside ``failed_rows`` ran to the end, and equal bit for bit
+    a stack of their seeds alone."""
+    kept = [seed for i, seed in enumerate(seeds) if i not in failed_rows]
+    if not kept:
+        return
+    alone = run_batch(problem, model, np.zeros((len(kept), problem.n_features)), iterations, kept)
+    others = [traj for i, traj in enumerate(trajs) if i not in failed_rows]
+    for traj, ref in zip(others, alone):
+        assert traj.failure is None and traj.seed == ref.seed
+        for name in TRAJECTORY_ARRAYS + ("batch_sizes",):
+            assert np.array_equal(getattr(traj, name), getattr(ref, name)), (traj.seed, name)
+
 
 class TestFiniteness:
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -675,9 +708,11 @@ class TestFiniteness:
         problem = random_square_problem(51, samples=8, features=3)
         for seeds, row in POISONED_ROWS:
             poisoned = GradientOverride(problem, 3, [0.5, bad, -0.25], row)
-            with pytest.raises(DivergedError) as excinfo:
-                run_batch(poisoned, model, np.zeros((len(seeds), 3)), 6, seeds)
-            assert (excinfo.value.iteration, excinfo.value.seed) == (3, seeds[row])
+            trajs = run_batch(poisoned, model, np.zeros((len(seeds), 3)), 6, seeds)
+            clean = run(problem, model, np.zeros(3), 6, seed=seeds[row])
+            assert_stopped_at(trajs[row], clean, 3, f"seed {seeds[row]}: diverged at iteration 3")
+            assert not np.isfinite(trajs[row].grad_norms[3])
+            assert_same_as_without(trajs, [row], problem, model, seeds, 6)
 
     def test_overflowing_gradient_norm_is_recorded_as_inf(self):
         # every entry is finite, so g is no reason to stop even though g . g
@@ -693,27 +728,35 @@ class TestFiniteness:
             assert np.array_equal(trajs[row].grad_norms[:6], clean.grad_norms[:6])
             assert all(np.array_equal(t.grad_norms, clean.grad_norms) for i, t in enumerate(trajs) if i != row)
             # earlier in the run the step it takes sends f to inf at the next iterate
-            with np.errstate(over="ignore"), pytest.raises(DivergedError) as excinfo:
-                run_batch(GradientOverride(problem, 2, huge, row), ZeroError(), starts, 6, seeds)
-            assert (excinfo.value.iteration, excinfo.value.seed) == (3, seeds[row])
+            with np.errstate(over="ignore"):
+                trajs = run_batch(GradientOverride(problem, 2, huge, row), ZeroError(), starts, 6, seeds)
+            failed = trajs[row]
+            assert failed.failure == f"seed {seeds[row]}: diverged at iteration 3"
+            assert failed.iterations == 3 and failed.fs[3] == np.inf
+            assert np.array_equal(failed.fs[:3], clean.fs[:3])
+            assert_same_as_without(trajs, [row], problem, ZeroError(), seeds, 6)
 
 
 class TestStackedChecks:
     """The checks over a whole stack blame the row that fails them."""
 
-    def test_forms_check_names_the_first_failing_seed_and_its_own_difference(self):
+    def test_forms_check_names_each_failing_seed_and_its_own_difference(self):
         problem = random_square_problem(53, samples=12, features=3)
         model = IncrementalBatchError(ExplicitSchedule((6, 8, 10)), selection="uniform")
         for seeds, row in POISONED_ROWS:
             shifted = GradientShift(problem, 2, 1e-9, row)
-            with pytest.raises(ArithmeticError) as excinfo:
-                run_batch(shifted, model, np.zeros((len(seeds), 3)), 6, seeds)
-            message = str(excinfo.value)
-            match = re.fullmatch(rf"seed {seeds[row]}: at step 2, batch-error forms disagree by up to (\S+),"
-                                 r" beyond 1e-12", message)
-            assert match, message
-            # the shift moves the two forms apart by 1e-9, the later rows' by 1e-6
-            assert float(match.group(1)) == pytest.approx(1e-9, rel=1e-3), message
+            trajs = run_batch(shifted, model, np.zeros((len(seeds), 3)), 6, seeds)
+            # the shift moves the poisoned row's two forms apart by 1e-9, the later rows' by 1e-6
+            for i in range(row, len(seeds)):
+                message = trajs[i].failure
+                match = re.fullmatch(rf"seed {seeds[i]}: at step 2, batch-error forms disagree by up to (\S+),"
+                                     r" beyond 1e-12", message)
+                assert match, message
+                assert float(match.group(1)) == pytest.approx(1e-9 if i == row else 1e-6, rel=1e-3), message
+                clean = run(problem, model, np.zeros(3), 6, seed=seeds[i])
+                assert_stopped_at(trajs[i], clean, 2, message)
+                assert np.array_equal(trajs[i].batch_sizes, clean.batch_sizes[:2])
+            assert_same_as_without(trajs, range(row, len(seeds)), problem, model, seeds, 6)
 
     def test_finite_stack_whose_sum_overflows_runs_to_the_end(self):
         # every f and g . g is finite, but the f of the three rows add up
@@ -793,12 +836,16 @@ class TestRun:
 
     def test_divergence_is_reported_with_iteration(self):
         # microscopic smoothness constant makes one enormous injected error
-        # overshoot to a non-finite objective on the very next iterate
+        # overshoot to a non-finite objective on the very next iterate; of a
+        # stack with a tame seed, only that seed stops
         problem = ComposedProblem(np.array([[1e-3]]), np.array([0.0]), SQUARE)
         model = SyntheticError(GeometricNorms(1e308, 0.9))
-        with np.errstate(over="ignore"), pytest.raises(DivergedError) as excinfo:
-            run(problem, model, np.zeros(1), 5, seed=0)
-        assert excinfo.value.iteration == 1
+        with np.errstate(over="ignore"):
+            traj = run(problem, model, np.zeros(1), 5, seed=0)
+            trajs = run_batch(problem, ZeroError(), np.zeros((1, 1)), 5, [0])
+        assert traj.failure == "seed 0: diverged at iteration 1"
+        assert traj.iterations == 1 and traj.fs[1] == np.inf and np.all(np.isfinite(traj.xs))
+        assert trajs[0].failure is None and trajs[0].iterations == 5
 
     def test_input_validation(self):
         problem = tiny_problem()
