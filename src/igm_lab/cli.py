@@ -13,15 +13,21 @@ Subcommands:
 
 Exit codes: 0 pass, 1 usage or I/O error, 2 verification failure (or a
 diverged run, or a failed batch-error check, which the seed's verdict
-names), 3 certification failure (``certification_failure.json`` says why).
+names), 3 certification failure, separable logistic data among them
+(``certification_failure.json`` says why).
 The ``IGM_LAB_SEED`` environment variable overrides config seeds with a
-single seed, for smoke tests.
+single seed, for smoke tests. ``main`` freezes the heap at exit (``gc.freeze``
+through ``atexit``), so interpreter shutdown skips its collections over
+numpy's import-time objects; every file is closed before ``main`` returns.
 """
 
 from __future__ import annotations
 
 import argparse
+import atexit
 import copy
+import functools
+import gc
 import itertools
 import json
 import math
@@ -404,7 +410,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _freeze_heap_at_exit() -> None:
+    """Register ``gc.freeze`` to run at exit, once per process."""
+    atexit.register(gc.freeze)
+
+
 def main(argv: list[str] | None = None) -> int:
+    _freeze_heap_at_exit()
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

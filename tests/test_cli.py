@@ -5,7 +5,11 @@ import functools
 import importlib
 import importlib.util
 import json
+import os
 import re
+import subprocess
+import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +17,7 @@ import pytest
 
 import igm_lab.cli
 from igm_lab import (
+    LOGISTIC,
     SQUARE,
     CertificationError,
     ComposedProblem,
@@ -534,6 +539,74 @@ class TestGenerateAndCertify:
             generate_least_squares(LeastSquaresSpec(9, 3, 2, 0.2, seed=4)), via_lib
         )
         assert via_cli.read_bytes() == via_lib.read_bytes()
+
+
+class TestSeparableData:
+    @pytest.fixture()
+    def separable_csv(self, tmp_path):
+        """2000 x 20 logistic data whose labels a hyperplane gives exactly."""
+        rng = np.random.default_rng(3)
+        features = rng.standard_normal((2000, 20))
+        labels = np.where(features @ rng.standard_normal(20) >= 0, 1.0, -1.0)
+        data = tmp_path / "separable.csv"
+        save_problem(ComposedProblem(features, labels, LOGISTIC), data)
+        return data
+
+    def test_certify_exits_three_fast_with_the_reason(self, separable_csv, tmp_path, capsys):
+        start = time.perf_counter()
+        code = main(["certify", "--data", str(separable_csv), "--loss", "logistic", "--out", str(tmp_path / "c.json")])
+        elapsed = time.perf_counter() - start
+        assert code == 3
+        assert elapsed < 1.0, elapsed
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        [line] = captured.err.splitlines()
+        assert line.startswith("certification failed: the data are separable")
+        assert not (tmp_path / "c.json").exists()
+
+    def test_run_exits_three_and_writes_the_reason(self, separable_csv, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({
+            "problem": {"kind": "dataset", "path": str(separable_csv), "loss": "logistic"},
+            "error_model": {"kind": "zero"},
+            "iterations": 5,
+            "seeds": [0],
+        }))
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(config), "--out", str(out)]) == 3
+        assert [p.name for p in out.iterdir()] == ["certification_failure.json"]
+        error = json.loads((out / "certification_failure.json").read_text())["error"]
+        assert error.startswith("the data are separable")
+        assert capsys.readouterr().err == f"certification failed: {error}\n"
+
+
+EXIT_FREEZE_PROBE = """
+import atexit, gc
+import numpy
+before = atexit._ncallbacks()
+import igm_lab.cli
+imported = atexit._ncallbacks()
+# atexit runs its handlers last-in first-out, so this one runs after main's
+atexit.register(lambda: print("frozen at exit:", gc.get_freeze_count() > 0))
+registered = atexit._ncallbacks()
+igm_lab.cli.main([])
+igm_lab.cli.main([])
+print("registered by import:", imported - before)
+print("registered by two calls:", atexit._ncallbacks() - registered)
+"""
+
+
+def test_main_freezes_the_heap_at_exit():
+    # interpreter shutdown then skips its collections over the import-time heap
+    src = str(Path(igm_lab.cli.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-c", EXIT_FREEZE_PROBE], env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == [
+        "registered by import: 0",
+        "registered by two calls: 1",
+        "frozen at exit: True",
+    ]
 
 
 def test_every_census_family_has_a_verdict_key(battery):

@@ -89,7 +89,7 @@ class TestLogisticGeneration:
     def test_certifiable_at_moderate_flip_rates(self):
         problem = generate_logistic(LogisticSpec(100, 5, 0.1, seed=7))
         cert = certify(problem)
-        assert cert.method.startswith("gradient_descent")
+        assert cert.method.startswith("newton(")
         assert 0.0 < cert.f_min < np.log(2.0)
 
     def test_same_seed_reproduces(self):

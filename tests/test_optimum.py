@@ -1,6 +1,9 @@
 """Unit tests for optimal-set certification and distance queries."""
 
+import re
+import time
 import tracemalloc
+from math import ceil
 from types import SimpleNamespace
 
 import numpy as np
@@ -19,7 +22,9 @@ from igm_lab import (
     attach_distances,
     certify,
     error_bound_ratios,
+    LogisticSpec,
     generate_least_squares,
+    generate_logistic,
     run,
 )
 from igm_lab import optimum
@@ -82,7 +87,8 @@ class TestLogisticTinyCertificate:
         assert cert.f_min == pytest.approx(np.log(2.0), rel=1e-12)
         assert np.allclose(cert.optimal_image, [0.0, 0.0], atol=1e-10)
         assert np.allclose(cert.minimizer, [0.0], atol=1e-10)
-        assert cert.method.startswith("gradient_descent")
+        # the start, zero, is the minimizer itself
+        assert cert.method == "newton(iterations=0)"
 
     def test_error_bound_ratio_is_finite_positive(self, log_tiny):
         problem, cert = log_tiny
@@ -103,8 +109,11 @@ def test_certification_iteration_cap_raises():
     features = np.array([[1.0, 0.2], [0.9, -0.4], [1.1, 0.3], [0.8, -0.1]])
     labels = np.array([1.0, -1.0, -1.0, 1.0])
     problem = ComposedProblem(features, labels, LOGISTIC)
-    with pytest.raises(CertificationError):
-        certify(problem, max_iterations=3)
+    # a cap one step short of what Newton needs on this problem
+    steps = int(re.fullmatch(r"newton\(iterations=(\d+)\)", certify(problem).method).group(1))
+    assert steps >= 2
+    with pytest.raises(CertificationError, match=f"within {steps - 1} steps"):
+        certify(problem, max_iterations=steps - 1)
 
 
 def test_logistic_certificate_minimizer_has_no_null_component():
@@ -191,3 +200,111 @@ def test_attach_distances_peak_memory_is_independent_of_the_sample_count():
         tracemalloc.stop()
     assert traj.dists.shape == (35,)
     assert peak <= 64 * 2**10, peak
+
+
+def near_separable(seed, samples=400, features=4, flips=2):
+    """Logistic data with a minimizer far from the origin.
+
+    Labels come from a planted hyperplane; the ``flips`` samples closest to
+    it get the wrong label, and the next-closest one is duplicated, with
+    the opposite label, over the sample farthest from it. The pair rules out
+    every separator, and the rest of the data nearly has one, so x* is large.
+    """
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((samples, features))
+    scores = a @ rng.standard_normal(features)
+    labels = np.where(scores >= 0, 1.0, -1.0)
+    closest = np.argsort(np.abs(scores))
+    labels[closest[:flips]] *= -1.0
+    a[closest[-1]] = a[closest[flips]]
+    labels[closest[-1]] = -labels[closest[flips]]
+    return ComposedProblem(a, labels, LOGISTIC)
+
+
+def tall_logistic(seed, samples=4000, features=50, flip=0.05):
+    """The data of the benchmark's certify_tall workload at a workload seed
+    (its CSV holds every float to 17 digits, so it reads back the same)."""
+    rng = np.random.default_rng([7919, seed])
+    a = rng.standard_normal((samples, features))
+    labels = np.where(a @ rng.standard_normal(features) >= 0, 1.0, -1.0)
+    flipped = rng.choice(samples, size=round(flip * samples), replace=False)
+    labels[flipped] = -labels[flipped]
+    pairs = ceil(0.02 * samples)
+    order = rng.permutation(samples)
+    src, dst = order[:pairs], order[pairs : 2 * pairs]
+    a[dst] = a[src]
+    labels[dst] = -labels[src]
+    return ComposedProblem(a, labels, LOGISTIC)
+
+
+def separable(seed, samples=2000, features=20):
+    """Labels from a planted hyperplane, unflipped; returns (problem, plane)."""
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((samples, features))
+    plane = rng.standard_normal(features)
+    return ComposedProblem(a, np.where(a @ plane >= 0, 1.0, -1.0), LOGISTIC), plane
+
+
+def test_near_separable_data_certify_fast():
+    # x* lies far from the start, where a fixed-step method takes millions of steps
+    problem = near_separable(0)
+    start = time.perf_counter()
+    cert = certify(problem)
+    elapsed = time.perf_counter() - start
+    assert elapsed < 1.0, elapsed
+    assert np.linalg.norm(cert.minimizer) >= 400.0
+    assert cert.gradient_norm <= optimum.GRAD_NORM_BOUND * (1.0 + problem.constants.composed)
+
+
+@pytest.mark.parametrize(
+    "problem",
+    [
+        pytest.param(lambda: tall_logistic(0), id="certify_tall-0"),
+        pytest.param(lambda: tall_logistic(1), id="certify_tall-1"),
+        pytest.param(lambda: tall_logistic(41), id="certify_tall-41"),
+        pytest.param(lambda: generate_logistic(LogisticSpec(200, 10, 0.1, seed=0)), id="logistic_uniform-0"),
+        pytest.param(lambda: generate_logistic(LogisticSpec(200, 10, 0.1, seed=1)), id="logistic_uniform-1"),
+        pytest.param(lambda: generate_logistic(LogisticSpec(80, 4, 0.15, seed=13)), id="battery"),
+    ],
+)
+def test_data_with_a_minimizer_are_never_called_separable(problem):
+    problem = problem()
+    cert = certify(problem)
+    assert re.fullmatch(r"newton\(iterations=\d+\)", cert.method)
+    assert cert.gradient_norm <= optimum.GRAD_NORM_BOUND * (1.0 + problem.constants.composed)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_separable_data_fail_fast_with_the_reason(seed):
+    problem, _ = separable(seed)
+    start = time.perf_counter()
+    with pytest.raises(CertificationError, match="the data are separable"):
+        certify(problem)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_separation_witness_counts_rounding():
+    def witness(problem, x):
+        x = np.asarray(x, dtype=float)
+        return optimum._separates(problem, x, problem.evaluate(x)[1], np.empty_like(problem.features))
+
+    # the plane the labels came from separates them; zero and its negative do not
+    problem, plane = separable(0, samples=50, features=3)
+    assert witness(problem, plane)
+    assert not witness(problem, -plane)
+    assert not witness(problem, np.zeros(3))
+    # a positive computed margin inside its rounding bound is no witness
+    one = ComposedProblem(np.array([[1.0, -1.0]]), np.array([1.0]), LOGISTIC)
+    x = np.array([1.0, 1.0 - 2.0**-52])
+    assert (one.features @ x)[0] > 0.0
+    assert not witness(one, x)
+    assert witness(one, [1.0, 0.5])
+
+
+def test_a_failed_cholesky_is_a_certification_error(monkeypatch):
+    def refuse(matrix):
+        raise np.linalg.LinAlgError("Matrix is not positive definite")
+
+    monkeypatch.setattr(optimum.np.linalg, "cholesky", refuse)
+    with pytest.raises(CertificationError, match="not positive definite"):
+        certify(near_separable(0))
